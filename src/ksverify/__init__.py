@@ -33,7 +33,6 @@ from .orthograph import (
 from .rays import (
     Basis,
     Ray,
-    canonicalize,
     complete_basis_third,
     inner,
     is_orthogonal,
@@ -55,7 +54,6 @@ __all__ = [
     "build_game",
     "build_graph",
     "builtin",
-    "canonicalize",
     "classical_value",
     "complete_bases",
     "complete_basis_third",

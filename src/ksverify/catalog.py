@@ -231,17 +231,6 @@ class SetSummary:
         self.minimal_split = minimal_split
         self.notes = inst.notes
 
-    def row(self) -> dict:
-        return {
-            "name": self.name,
-            "rays": self.rays,
-            "bases": self.bases,
-            "vertex_types": self.vertex_types,
-            "aut_order": self.aut_order,
-            "ks": "UNSAT" if self.ks_unsat else "SAT",
-            "minimal": self.minimal_split or "-",
-        }
-
 
 def summary_table(summaries) -> str:
     """Fixed-width text table, deterministic."""

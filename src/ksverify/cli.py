@@ -22,6 +22,7 @@ from .game import (
     build_game,
     classical_value,
     classical_value_twolevel,
+    default_split,
     export_exclusivity_graph,
     minimal_distribution_search,
     quantum_value_maxent,
@@ -97,37 +98,21 @@ def _print_notes(inst: KSInstance) -> None:
         print(f"note: {note}")
 
 
-def _default_split(inst: KSInstance) -> tuple[list[int], list[int]]:
-    """Alice = bases inside one orbit or fully non-computational; see below.
-
-    Bases are classified by the automorphism orbit sizes of their rays:
-    a basis whose rays all lie in one orbit goes to Alice (the unique
-    all-type-I basis and the bases inside the middle orbit), the rest
-    (one type-I ray plus two large-orbit rays) go to Bob.
-    """
-    report = automorphisms(inst.graph)
-    orbit_of = {}
-    for oi, orbit in enumerate(report.orbits):
-        for v in orbit:
-            orbit_of[v] = oi
-    alice, bob = [], []
-    for bi, triple in enumerate(inst.basis_indices):
-        orbit_ids = {orbit_of[v] for v in triple}
-        (alice if len(orbit_ids) == 1 else bob).append(bi)
-    return alice, bob
-
-
 def _game_from_args(inst: KSInstance, args) -> Game:
     if args.alice or args.bob:
         if not (args.alice and args.bob):
-            raise SystemExit("--alice and --bob must be given together")
+            raise ValueError("--alice and --bob must be given together")
         ax = [int(t) for t in args.alice.split(",")]
         bx = [int(t) for t in args.bob.split(",")]
     else:
-        ax, bx = _default_split(inst)
+        ax, bx = default_split(inst)
         if not ax or not bx:
-            raise SystemExit(
+            raise ValueError(
                 f"no default basis split for {inst.name}; pass --alice and --bob")
+    for i in ax + bx:
+        if not 0 <= i < len(inst.bases):
+            raise ValueError(
+                f"basis index {i} out of range 0..{len(inst.bases) - 1}")
     alice = [inst.bases[i] for i in ax]
     bob = [inst.bases[i] for i in bx]
     return build_game(alice, bob)
@@ -411,6 +396,9 @@ def main(argv=None) -> int:
     except MissingDataError as exc:
         print(f"missing data: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.timing:
         print(f"elapsed: {time.monotonic() - start:.2f}s", file=sys.stderr)
     if code == EXIT_OK:

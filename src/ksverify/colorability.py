@@ -10,6 +10,7 @@ is exhaustive, so UNSAT answers are certificates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .orthograph import build_graph, complete_bases
@@ -108,7 +109,7 @@ class SearchResult:
 
 
 class _Propagator:
-    """Shared unit-propagation state for the basis-branching searches."""
+    """Unit-propagation state and the basis-branching search over it."""
 
     def __init__(self, inst: KSInstance):
         self.adj = inst.graph.adj
@@ -119,8 +120,10 @@ class _Propagator:
             for v in triple:
                 self.in_bases[v].append(bi)
         self.vals: list[int | None] = [None] * self.n
+        self.trail: list[int] = []
+        self.nodes = 0
 
-    def assign(self, v: int, value: int, trail: list[int]) -> bool:
+    def assign(self, v: int, value: int) -> bool:
         """Set v := value with propagation; False on conflict."""
         queue = [(v, value)]
         while queue:
@@ -131,7 +134,7 @@ class _Propagator:
                     return False
                 continue
             self.vals[u] = val
-            trail.append(u)
+            self.trail.append(u)
             if val == 1:
                 m = self.adj[u]
                 while m:
@@ -155,53 +158,62 @@ class _Propagator:
                             queue.append((t, 1))
         return True
 
-    def undo(self, trail: list[int], mark: int) -> None:
-        while len(trail) > mark:
-            self.vals[trail.pop()] = None
+    def undo(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            self.vals[self.trail.pop()] = None
+
+    def leaves(self):
+        """Yield at every leaf of the basis-branching search, in order.
+
+        Branches on the first basis without a 1, trying each member not
+        already 0, one node per try.  At a leaf every basis carries a 1
+        and `vals` holds the partial assignment (free rays None).
+        """
+        open_bases = (i for i, triple in enumerate(self.bases)
+                      if not any(self.vals[t] == 1 for t in triple))
+        bi = next(open_bases, None)
+        if bi is None:
+            yield
+            return
+        for t in self.bases[bi]:
+            if self.vals[t] == 0:
+                continue
+            self.nodes += 1
+            mark = len(self.trail)
+            if self.assign(t, 1):
+                yield from self.leaves()
+            self.undo(mark)
+
+    def free_completions(self, pos: int = 0):
+        """Yield at every total assignment extending `vals`, free rays 0 before 1."""
+        while pos < self.n and self.vals[pos] is not None:
+            pos += 1
+        if pos == self.n:
+            yield
+            return
+        for value in (0, 1):
+            mark = len(self.trail)
+            if self.assign(pos, value):
+                yield from self.free_completions(pos + 1)
+            self.undo(mark)
 
 
-def _as_assignment(inst: KSInstance, vals) -> Assignment:
-    return Assignment({ray: vals[i] for i, ray in enumerate(inst.graph.vertices)})
+def _checked_assignment(inst: KSInstance, vals) -> Assignment:
+    f = Assignment({ray: vals[i] for i, ray in enumerate(inst.graph.vertices)})
+    problems = verify_assignment(inst, f)
+    if problems:
+        raise AssertionError(f"search produced an invalid assignment: {problems}")
+    return f
 
 
 def find_ks_assignment(inst: KSInstance) -> SearchResult:
     """First valid assignment in branching order, or exhaustive UNSAT."""
     prop = _Propagator(inst)
-    nodes = 0
-    trail: list[int] = []
-
-    def next_open_basis() -> int | None:
-        for bi, triple in enumerate(prop.bases):
-            if not any(prop.vals[t] == 1 for t in triple):
-                return bi
-        return None
-
-    def dfs() -> list[int] | None:
-        nonlocal nodes
-        bi = next_open_basis()
-        if bi is None:
-            # all bases carry a 1; free rays get 0 (edges stay satisfied)
-            return [v if v is not None else 0 for v in prop.vals]
-        for t in prop.bases[bi]:
-            if prop.vals[t] == 0:
-                continue
-            nodes += 1
-            mark = len(trail)
-            if prop.assign(t, 1, trail):
-                result = dfs()
-                if result is not None:
-                    return result
-            prop.undo(trail, mark)
-        return None
-
-    vals = dfs()
-    if vals is None:
-        return SearchResult(False, None, nodes)
-    f = _as_assignment(inst, vals)
-    problems = verify_assignment(inst, f)
-    if problems:
-        raise AssertionError(f"search returned an invalid assignment: {problems}")
-    return SearchResult(True, f, nodes)
+    for _ in prop.leaves():
+        # all bases carry a 1; free rays get 0 (edges stay satisfied)
+        vals = [v if v is not None else 0 for v in prop.vals]
+        return SearchResult(True, _checked_assignment(inst, vals), prop.nodes)
+    return SearchResult(False, None, prop.nodes)
 
 
 @dataclass(frozen=True)
@@ -213,56 +225,13 @@ class EnumerationResult:
 def enumerate_ks_assignments(inst: KSInstance, cap: int = 100000) -> EnumerationResult:
     """All valid assignments in deterministic order, up to `cap`."""
     prop = _Propagator(inst)
-    trail: list[int] = []
-    out: list[Assignment] = []
-    truncated = False
-
-    def emit() -> bool:
-        f = _as_assignment(inst, prop.vals)
-        if verify_assignment(inst, f):
-            raise AssertionError("enumeration produced an invalid assignment")
-        out.append(f)
-        return len(out) <= cap  # collect one extra to detect truncation
-
-    def free_dfs(order: list[int], pos: int) -> bool:
-        while pos < len(order) and prop.vals[order[pos]] is not None:
-            pos += 1
-        if pos == len(order):
-            return emit()
-        v = order[pos]
-        for value in (0, 1):
-            mark = len(trail)
-            if prop.assign(v, value, trail):
-                if not free_dfs(order, pos + 1):
-                    prop.undo(trail, mark)
-                    return False
-            prop.undo(trail, mark)
-        return True
-
-    def basis_dfs() -> bool:
-        bi = next(
-            (i for i, triple in enumerate(prop.bases)
-             if not any(prop.vals[t] == 1 for t in triple)),
-            None,
-        )
-        if bi is None:
-            return free_dfs(list(range(prop.n)), 0)
-        for t in prop.bases[bi]:
-            if prop.vals[t] == 0:
-                continue
-            mark = len(trail)
-            if prop.assign(t, 1, trail):
-                if not basis_dfs():
-                    prop.undo(trail, mark)
-                    return False
-            prop.undo(trail, mark)
-        return True
-
-    basis_dfs()
-    if len(out) > cap:
-        truncated = True
-        del out[cap:]
-    return EnumerationResult(out, truncated)
+    found = (
+        _checked_assignment(inst, prop.vals)
+        for _ in prop.leaves()
+        for _ in prop.free_completions()
+    )
+    out = list(itertools.islice(found, cap + 1))  # one extra detects truncation
+    return EnumerationResult(out[:cap], len(out) > cap)
 
 
 def to_dimacs_cnf(inst: KSInstance) -> str:

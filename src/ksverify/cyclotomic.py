@@ -394,9 +394,14 @@ class Cyc:
         return hash(self.minimal_form())
 
     def sort_key(self):
-        """Deterministic total-order key across all values."""
+        """Deterministic total-order key across all values.
+
+        Conductor first, then the coefficients, each ordered 0, 1, -1, 2,
+        -2, ... and then proper fractions.
+        """
         d, coeffs = self.minimal_form()
-        return (d, tuple((c.numerator, c.denominator) for c in coeffs))
+        return (d, tuple(
+            (c.denominator, abs(c.numerator), c.numerator < 0) for c in coeffs))
 
     # -- I/O -----------------------------------------------------------------
 

@@ -19,7 +19,12 @@ from fractions import Fraction
 
 from .colorability import KSInstance
 from .cyclotomic import Cyc
-from .orthograph import close_under_products, max_independent_set
+from .orthograph import (
+    automorphisms,
+    close_under_products,
+    dimacs_edges,
+    max_independent_set,
+)
 from .rays import Basis, Ray, inner, is_orthogonal
 
 
@@ -45,16 +50,11 @@ class Context:
         return self.win_mask.bit_count()
 
 
+@dataclass(frozen=True, slots=True)
 class Game:
-    __slots__ = ("alice_bases", "bob_bases", "contexts")
-
-    def __init__(self, alice_bases, bob_bases, contexts) -> None:
-        object.__setattr__(self, "alice_bases", tuple(alice_bases))
-        object.__setattr__(self, "bob_bases", tuple(bob_bases))
-        object.__setattr__(self, "contexts", tuple(contexts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Game is immutable")
+    alice_bases: tuple[Basis, ...]
+    bob_bases: tuple[Basis, ...]
+    contexts: tuple[Context, ...]
 
     def n_contexts(self) -> int:
         return len(self.contexts)
@@ -68,8 +68,8 @@ class Game:
 
 def build_game(alice_bases, bob_bases) -> Game:
     """Classify every context and tag each of its 9 events win/lose."""
-    alice_bases = [b if isinstance(b, Basis) else Basis(b) for b in alice_bases]
-    bob_bases = [b if isinstance(b, Basis) else Basis(b) for b in bob_bases]
+    alice_bases = tuple(b if isinstance(b, Basis) else Basis(b) for b in alice_bases)
+    bob_bases = tuple(b if isinstance(b, Basis) else Basis(b) for b in bob_bases)
     contexts = []
     for x, bx in enumerate(alice_bases):
         for y, by in enumerate(bob_bases):
@@ -85,7 +85,27 @@ def build_game(alice_bases, bob_bases) -> Game:
                     else:
                         win |= 1 << (3 * a + b)
             contexts.append(Context(x, y, tuple(shared), tuple(orth), win))
-    return Game(alice_bases, bob_bases, contexts)
+    return Game(alice_bases, bob_bases, tuple(contexts))
+
+
+def default_split(inst: KSInstance) -> tuple[list[int], list[int]]:
+    """Alice = bases inside one orbit or fully non-computational; see below.
+
+    Bases are classified by the automorphism orbit sizes of their rays:
+    a basis whose rays all lie in one orbit goes to Alice (the unique
+    all-type-I basis and the bases inside the middle orbit), the rest
+    (one type-I ray plus two large-orbit rays) go to Bob.
+    """
+    report = automorphisms(inst.graph)
+    orbit_of = {}
+    for oi, orbit in enumerate(report.orbits):
+        for v in orbit:
+            orbit_of[v] = oi
+    alice, bob = [], []
+    for bi, triple in enumerate(inst.basis_indices):
+        orbit_ids = {orbit_of[v] for v in triple}
+        (alice if len(orbit_ids) == 1 else bob).append(bi)
+    return alice, bob
 
 
 # -- exclusivity graph and classical value -------------------------------------
@@ -169,15 +189,6 @@ def classical_value(g: Game) -> GameValue:
     return GameValue(Fraction(alpha, g.n_contexts()), None, strategy)
 
 
-def classical_value_bruteforce(g: Game) -> Fraction:
-    """Scan all 3^|X| * 3^|Y| deterministic strategy pairs (small games only)."""
-    best = 0
-    for alice in itertools.product(range(3), repeat=len(g.alice_bases)):
-        for bob in itertools.product(range(3), repeat=len(g.bob_bases)):
-            best = max(best, play_out(g, Strategy(alice, bob)))
-    return Fraction(best, g.n_contexts())
-
-
 def classical_value_twolevel(g: Game) -> Fraction:
     """Max over Alice strategies; Bob's best reply decomposes per input y."""
     ny = len(g.bob_bases)
@@ -243,21 +254,8 @@ def quantum_value_maxent(g: Game):
 def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None) -> None:
     """Edge-list export of the winning-event exclusivity graph plus a legend."""
     events = winning_events(g)
-    adj = exclusivity_adjacency(events)
-    n = len(events)
-    edges = []
-    for i in range(n):
-        m = adj[i] >> (i + 1)
-        j = i + 1
-        while m:
-            if m & 1:
-                edges.append((i, j))
-            m >>= 1
-            j += 1
-    lines = [f"p edge {n} {len(edges)}"]
-    lines += [f"e {i + 1} {j + 1}" for i, j in edges]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dimacs_edges(exclusivity_adjacency(events)))
     if legend_path:
         legend = ["index x y a b"]
         legend += [
@@ -382,14 +380,8 @@ def _min_hitting_set_size(sets: list[int], cap: int) -> int | None:
     return best
 
 
-def _hits_all(y_mask: int, sets: list[int]) -> bool:
-    return all(s & y_mask for s in sets)
-
-
 def minimal_distribution_search(
-    inst: KSInstance,
-    generators=None,
-    budget_seconds: float | None = None,
+    inst: KSInstance, budget_seconds: float | None = None
 ) -> MinimalSplitResult:
     """Smallest |X|*|Y| basis split admitting no perfect classical strategy.
 
@@ -404,11 +396,7 @@ def minimal_distribution_search(
     nb = len(inst.basis_indices)
     if nb == 0:
         return MinimalSplitResult(None, None, None, True, 0)
-    if generators is None:
-        from .orthograph import automorphisms
-
-        generators = automorphisms(inst.graph).generators
-    group = _basis_permutation_group(inst, generators)
+    group = _basis_permutation_group(inst, automorphisms(inst.graph).generators)
     W = _win_choice_masks(inst)
     start = time.monotonic()
     checked = 0
@@ -418,9 +406,8 @@ def minimal_distribution_search(
     def canonical_subsets(size: int) -> list[tuple[int, ...]]:
         out = []
         for comb in itertools.combinations(range(nb), size):
-            cset = comb
             smallest = min(tuple(sorted(p[i] for i in comb)) for p in group)
-            if smallest == cset:
+            if smallest == comb:
                 out.append(comb)
         return out
 
@@ -452,24 +439,8 @@ def minimal_distribution_search(
                         y_mask = 0
                         for j in Y:
                             y_mask |= 1 << j
-                        if _hits_all(y_mask, bads):
+                        if all(s & y_mask for s in bads):
                             return MinimalSplitResult(
                                 product, X, Y, True, checked
                             )
     return MinimalSplitResult(None, None, None, True, checked)
-
-
-def pair_is_refutable(inst: KSInstance, x_indices, y_indices) -> bool:
-    """True iff no deterministic classical strategy wins every context."""
-    W = _win_choice_masks(inst)
-    X = tuple(x_indices)
-    for alice in itertools.product(range(3), repeat=len(X)):
-        if all(
-            any(
-                all(W[xi][alice[k]][yj] >> b & 1 for k, xi in enumerate(X))
-                for b in range(3)
-            )
-            for yj in y_indices
-        ):
-            return False
-    return True

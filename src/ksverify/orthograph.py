@@ -38,26 +38,26 @@ class OrthoGraph:
         return sum(m.bit_count() for m in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            m = self.adj[i] >> (i + 1)
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((i, j))
-                m >>= 1
-                j += 1
-        return out
+        return edge_list(self.adj)
 
-    def index_of(self, ray: Ray) -> int:
-        return self.vertices.index(ray)
 
-    def to_dimacs(self) -> str:
-        """DIMACS-like edge list, 1-based vertex numbers."""
-        edges = self.edges()
-        lines = [f"p edge {self.n} {len(edges)}"]
-        lines += [f"e {i + 1} {j + 1}" for i, j in edges]
-        return "\n".join(lines) + "\n"
+def edge_list(adj) -> list[tuple[int, int]]:
+    """Every edge (i, j), i < j, of an adjacency-bitmask graph, in index order."""
+    out = []
+    for i, row in enumerate(adj):
+        m = row >> (i + 1) << (i + 1)
+        while m:
+            out.append((i, (m & -m).bit_length() - 1))
+            m &= m - 1
+    return out
+
+
+def dimacs_edges(adj) -> str:
+    """DIMACS-like edge list ('p edge V E', 'e i j'), 1-based vertex numbers."""
+    edges = edge_list(adj)
+    lines = [f"p edge {len(adj)} {len(edges)}"]
+    lines += [f"e {i + 1} {j + 1}" for i, j in edges]
+    return "\n".join(lines) + "\n"
 
 
 def build_graph(rays) -> OrthoGraph:
@@ -85,30 +85,6 @@ def complete_bases(g: OrthoGraph) -> list[Basis]:
                 common >>= 1
                 k += 1
     return out
-
-
-def parse_dimacs_edges(text: str) -> list[int]:
-    """Adjacency bitmasks from a DIMACS-like edge list ('p edge V E', 'e i j')."""
-    adj: list[int] = []
-    declared_edges = None
-    seen = 0
-    for raw in text.splitlines():
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"bad DIMACS header: {raw!r}")
-            adj = [0] * int(parts[2])
-            declared_edges = int(parts[3])
-        elif parts[0] == "e":
-            i, j = int(parts[1]) - 1, int(parts[2]) - 1
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            seen += 1
-    if declared_edges is not None and seen != declared_edges:
-        raise ValueError(f"edge count mismatch: header {declared_edges}, found {seen}")
-    return adj
 
 
 # -- maximum independent set -------------------------------------------------

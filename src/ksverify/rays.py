@@ -18,16 +18,6 @@ from math import gcd
 from .cyclotomic import Cyc
 
 
-def _fraction_key(c: Fraction) -> tuple[int, int, int]:
-    # 0 first, then 1, -1, 2, -2, ... then proper fractions
-    return (c.denominator, abs(c.numerator), 0 if c.numerator >= 0 else 1)
-
-
-def _cyc_key(c: Cyc):
-    d, coeffs = c.minimal_form()
-    return (d, tuple(_fraction_key(x) for x in coeffs))
-
-
 def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
     first = next((c for c in components if not c.is_zero()), None)
     if first is None:
@@ -53,7 +43,7 @@ def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
 
     def candidate_key(triple):
         lead = next(c for c in triple if not c.is_zero())
-        return (0 if lead == one else 1, tuple(_cyc_key(c) for c in triple))
+        return (0 if lead == one else 1, tuple(c.sort_key() for c in triple))
 
     return min(
         (tuple(u * c for c in integral) for u in units), key=candidate_key
@@ -85,7 +75,7 @@ class Ray:
         return self._hash
 
     def sort_key(self):
-        return tuple(_cyc_key(c) for c in self.canonical)
+        return tuple(c.sort_key() for c in self.canonical)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.canonical) + ")"
@@ -93,19 +83,10 @@ class Ray:
     def __repr__(self) -> str:
         return f"Ray{self}"
 
-    def norm_sq(self) -> Cyc:
-        """<v|v> on the stored components."""
-        return inner(self, self)
-
     def scaled(self, scalar) -> "Ray":
         """Same projective ray, rebuilt from scaled components."""
         s = Cyc._as_cyc(scalar)
         return Ray(tuple(s * c for c in self.components))
-
-
-def canonicalize(components) -> Ray:
-    """Deterministic canonical representative; idempotent by construction."""
-    return Ray(components)
 
 
 def inner(v: Ray, u: Ray) -> Cyc:

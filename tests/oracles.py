@@ -2,9 +2,10 @@
 
 These deliberately avoid the algorithms used by the package (clique-cover
 branch and bound, basis-branching propagation search, exclusivity-graph
-independence): a memoized include/exclude recursion for independent sets,
-raw power-set scans for colorings, and a plain DPLL that sees nothing but
-CNF clauses.
+independence, the symmetry-reduced split search): a memoized
+include/exclude recursion for independent sets, raw power-set scans for
+colorings, a plain DPLL that sees nothing but CNF clauses, and a plain
+Alice-strategy scan for refutable basis splits.
 """
 
 from __future__ import annotations
@@ -104,6 +105,30 @@ def triangles_direct(rays) -> int:
     return count
 
 
+def parse_dimacs_edges(text: str) -> list[int]:
+    """Adjacency bitmasks from a DIMACS-like edge list ('p edge V E', 'e i j')."""
+    adj: list[int] = []
+    declared_edges = None
+    seen = 0
+    for raw in text.splitlines():
+        parts = raw.split()
+        if not parts or parts[0] == "c":
+            continue
+        if parts[0] == "p":
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ValueError(f"bad DIMACS header: {raw!r}")
+            adj = [0] * int(parts[2])
+            declared_edges = int(parts[3])
+        elif parts[0] == "e":
+            i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            seen += 1
+    if declared_edges is not None and seen != declared_edges:
+        raise ValueError(f"edge count mismatch: header {declared_edges}, found {seen}")
+    return adj
+
+
 # -- plain DPLL over DIMACS CNF --------------------------------------------------
 
 
@@ -171,3 +196,25 @@ def best_strategy_pairs(game) -> int:
         for bob in product(range(3), repeat=len(game.bob_bases)):
             best = max(best, play_out(game, Strategy(alice, bob)))
     return best
+
+
+def pair_is_refutable(inst, x_indices, y_indices) -> bool:
+    """True iff no deterministic strategy pair wins every context (x, y).
+
+    Two output rays win unless they are distinct and orthogonal, read
+    straight from the graph's adjacency bitmasks.  Every Alice strategy
+    is scanned; Bob's best reply is taken per input, since his output
+    depends on his basis only.
+    """
+    adj = inst.graph.adj
+    xs = [inst.basis_indices[i] for i in x_indices]
+    ys = [inst.basis_indices[j] for j in y_indices]
+
+    def win(u: int, v: int) -> bool:
+        return u == v or not adj[u] >> v & 1
+
+    for alice in product(range(3), repeat=len(xs)):
+        outs = [triple[a] for triple, a in zip(xs, alice)]
+        if all(any(all(win(u, v) for u in outs) for v in ty) for ty in ys):
+            return False
+    return True

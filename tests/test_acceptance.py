@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from ksverify.catalog import builtin, yuoh_h_rays
-from ksverify.cli import _default_split
 from ksverify.colorability import (
     KSInstance,
     enumerate_ks_assignments,
@@ -27,6 +26,7 @@ from ksverify.game import (
     build_game,
     classical_value,
     classical_value_twolevel,
+    default_split,
     minimal_distribution_search,
     play_out,
     quantum_value_maxent,
@@ -57,7 +57,7 @@ def new33():
 
 @pytest.fixture(scope="module")
 def game45(new33):
-    ax, bx = _default_split(new33)
+    ax, bx = default_split(new33)
     return build_game([new33.bases[i] for i in ax], [new33.bases[j] for j in bx])
 
 

@@ -1,10 +1,15 @@
 """CLI subcommands: reports, exit codes, determinism, expectation mode."""
 
+import json
+
+import pytest
+
 from ksverify.cli import (
     EXIT_INCOMPLETE,
     EXIT_MISMATCH,
     EXIT_MISSING_DATA,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 
@@ -169,3 +174,34 @@ def test_reports_are_byte_identical(capsys):
     _, t1 = run(capsys, "table1", "--minimal", "none")
     _, t2 = run(capsys, "table1", "--minimal", "none")
     assert t1 == t2
+
+
+BAD_FILES = {
+    "bad.json": "{bad",
+    "dup.json": json.dumps({
+        "name": "dup", "conductor": 1,
+        "rays": [[[[0, 1, 1]], [], []], [[[0, 2, 1]], [], []]],
+    }),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "bad.json"],
+    ["verify", "dup.json"],
+    ["sic", "--seed", "(1,1)"],
+    ["generate", "--seed", "(1,0,0)", "--gens", "Q"],
+    ["game", "new33", "--alice", "a", "--bob", "1"],
+    ["game", "new33", "--alice", "99", "--bob", "1"],
+    ["game", "new33", "--alice", "0"],
+    ["game", "conway31"],
+], ids=" ".join)
+def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BAD_FILES else a for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -68,7 +68,7 @@ def test_truncation_flag():
 def test_new33_unsat_and_yuoh_sat():
     res33 = find_ks_assignment(builtin("new33"))
     assert not res33.satisfiable
-    assert res33.nodes > 0
+    assert res33.nodes == 33
     res13 = find_ks_assignment(builtin("yuoh13"))
     assert res13.satisfiable
     assert verify_assignment(builtin("yuoh13"), res13.assignment) == []

@@ -9,20 +9,19 @@ from ksverify.cyclotomic import omega
 from ksverify.game import (
     build_game,
     classical_value,
-    classical_value_bruteforce,
     classical_value_twolevel,
+    default_split,
     event_probability,
     exclusivity_adjacency,
     export_exclusivity_graph,
     minimal_distribution_search,
-    pair_is_refutable,
     quantum_value_maxent,
     winning_events,
 )
-from ksverify.orthograph import max_independent_set, parse_dimacs_edges
+from ksverify.orthograph import max_independent_set
 from ksverify.rays import Basis, Ray
 
-from oracles import best_strategy_pairs
+from oracles import best_strategy_pairs, pair_is_refutable, parse_dimacs_edges
 
 W = omega()
 
@@ -33,9 +32,7 @@ def ray(*components):
 
 def paper_game():
     inst = builtin("new33")
-    from ksverify.cli import _default_split
-
-    alice_idx, bob_idx = _default_split(inst)
+    alice_idx, bob_idx = default_split(inst)
     assert len(alice_idx) == 5 and len(bob_idx) == 9
     return build_game(
         [inst.bases[i] for i in alice_idx], [inst.bases[j] for j in bob_idx]
@@ -149,7 +146,6 @@ def test_exclusivity_alpha_matches_bruteforce_on_small_games():
         best = best_strategy_pairs(g)
         assert via_alpha == Fraction(best, g.n_contexts())
         assert classical_value_twolevel(g) == via_alpha
-        assert classical_value_bruteforce(g) == via_alpha
 
 
 def test_exclusivity_graph_export_roundtrip(tmp_path, game45):

@@ -9,12 +9,12 @@ from ksverify.orthograph import (
     build_graph,
     close_under_products,
     complete_bases,
+    dimacs_edges,
     enumerate_automorphisms,
     greedy_clique_cover,
     independence_number,
     max_independent_set,
     orbits_of_group,
-    parse_dimacs_edges,
 )
 from ksverify.rays import Ray, validate_basis
 
@@ -22,6 +22,7 @@ from oracles import (
     alpha_exhaustive,
     alpha_powerset,
     count_orthogonal_pairs,
+    parse_dimacs_edges,
     random_graph,
     triangles_direct,
 )
@@ -170,7 +171,7 @@ def test_enumerate_automorphisms_is_a_group():
 
 def test_dimacs_roundtrip():
     inst = builtin("yuoh13")
-    text = inst.graph.to_dimacs()
+    text = dimacs_edges(inst.graph.adj)
     assert text.startswith("p edge 13 24\n")
     adj = parse_dimacs_edges(text)
     assert adj == list(inst.graph.adj)

@@ -7,7 +7,6 @@ from ksverify.cyclotomic import Cyc, omega
 from ksverify.rays import (
     Basis,
     Ray,
-    canonicalize,
     complete_basis_third,
     inner,
     is_orthogonal,
@@ -51,8 +50,8 @@ def test_canonicalization_collapses_scalar_multiples():
 
 
 def test_canonicalize_is_idempotent():
-    r = canonicalize((2 * W, -4 * W, 0))
-    again = canonicalize(r.canonical)
+    r = Ray((2 * W, -4 * W, 0))
+    again = Ray(r.canonical)
     assert r == again
     assert r.canonical == again.canonical
 
