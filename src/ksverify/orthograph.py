@@ -2,8 +2,8 @@
 
 Vertices are canonical rays in a fixed deterministic order; edges join
 orthogonal pairs.  Everything downstream (complete bases, independence
-number, automorphism group) is computed in-process so results stay
-certified: no external graph tools are called.
+number, every element of the automorphism group) is computed in-process
+so results stay certified: no external graph tools are called.
 """
 
 from __future__ import annotations
@@ -165,9 +165,12 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class AutGroupReport:
-    order: int
-    generators: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[int, ...], ...]  # every automorphism, sorted
     orbits: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def equitable_colors(adj) -> list[int]:
@@ -238,62 +241,12 @@ def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[x] for x in q)
-
-
-def close_under_products(
-    gens, n: int
-) -> set[tuple[int, ...]]:
-    """The permutation group generated by `gens`, as an explicit element set."""
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(g, p)
-                if q not in group:
-                    group.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return group
-
-
-def orbits_of_group(elements, n: int) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in elements:
-        for v in range(n):
-            a, b = find(v), find(p[v])
-            if a != b:
-                parent[a] = b
-    buckets: dict[int, list[int]] = {}
-    for v in range(n):
-        buckets.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(b)) for b in sorted(buckets.values()))
-
-
 def automorphisms(g: OrthoGraph) -> AutGroupReport:
-    """Exact automorphism group: order, a small generating set, vertex orbits."""
-    all_perms = enumerate_automorphisms(g.adj)
-    order = len(all_perms)
-    gens: list[tuple[int, ...]] = []
-    known = {tuple(range(g.n))}
-    for p in all_perms:
-        if p not in known:
-            gens.append(p)
-            known = close_under_products(gens, g.n)
-            if len(known) == order:
-                break
-    if len(known) != order:
-        raise AssertionError("generator closure does not reproduce the group")
-    orbits = orbits_of_group(all_perms, g.n)
-    return AutGroupReport(order=order, generators=tuple(gens), orbits=orbits)
+    """Exact automorphism group: every element and the vertex orbits.
+
+    The orbit of v is {p[v] for p in elements}, which is the whole orbit
+    because `elements` is the whole group.
+    """
+    elements = tuple(enumerate_automorphisms(g.adj))
+    orbits = {tuple(sorted({p[v] for p in elements})) for v in range(g.n)}
+    return AutGroupReport(elements=elements, orbits=tuple(sorted(orbits)))

@@ -2,15 +2,17 @@
 
 These deliberately avoid the algorithms used by the package (clique-cover
 branch and bound, basis-branching propagation search, exclusivity-graph
-independence, the symmetry-reduced split search): a memoized
-include/exclude recursion for independent sets, raw power-set scans for
-colorings, a plain DPLL that sees nothing but CNF clauses, and a plain
-Alice-strategy scan for refutable basis splits.
+independence, the symmetry-reduced split search, the automorphism
+backtracking): a memoized include/exclude recursion for independent sets,
+raw power-set scans for colorings, a plain DPLL that sees nothing but CNF
+clauses, a plain Alice-strategy scan for refutable basis splits, and a
+permutation scan, a product closure and a union-find for automorphism
+groups.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def alpha_exhaustive(adj: list[int]) -> int:
@@ -127,6 +129,62 @@ def parse_dimacs_edges(text: str) -> list[int]:
     if declared_edges is not None and seen != declared_edges:
         raise ValueError(f"edge count mismatch: header {declared_edges}, found {seen}")
     return adj
+
+
+# -- permutation groups -------------------------------------------------------------
+
+
+def automorphisms_bruteforce(adj: list[int]) -> list[tuple[int, ...]]:
+    """Every vertex permutation mapping edges onto edges, in sorted order."""
+    n = len(adj)
+    edges = [(i, j) for i in range(n) for j in range(n) if adj[i] >> j & 1]
+    return [
+        p for p in permutations(range(n))
+        if all(adj[p[i]] >> p[j] & 1 for i, j in edges)
+    ]
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[x] for x in q)
+
+
+def close_under_products(
+    gens, n: int
+) -> set[tuple[int, ...]]:
+    """The permutation group generated by `gens`, as an explicit element set."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = _compose(g, p)
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+def orbits_of_group(elements, n: int) -> tuple[tuple[int, ...], ...]:
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in elements:
+        for v in range(n):
+            a, b = find(v), find(p[v])
+            if a != b:
+                parent[a] = b
+    buckets: dict[int, list[int]] = {}
+    for v in range(n):
+        buckets.setdefault(find(v), []).append(v)
+    return tuple(tuple(sorted(b)) for b in sorted(buckets.values()))
 
 
 # -- plain DPLL over DIMACS CNF --------------------------------------------------

@@ -176,18 +176,42 @@ def test_reports_are_byte_identical(capsys):
     assert t1 == t2
 
 
+E123 = [[[[0, 1, 1]], [], []], [[], [[0, 1, 1]], []], [[], [], [[0, 1, 1]]]]
+
+
+def set_file(**fields):
+    return json.dumps({"name": "bad", "conductor": 1, "rays": E123, **fields})
+
+
 BAD_FILES = {
     "bad.json": "{bad",
+    "list.json": "[]",
     "dup.json": json.dumps({
         "name": "dup", "conductor": 1,
         "rays": [[[[0, 1, 1]], [], []], [[[0, 2, 1]], [], []]],
     }),
+    "basis7.json": set_file(declared_bases=[[0, 1, 7]]),
+    "basisneg.json": set_file(declared_bases=[[0, 1, -1]]),
+    "cond0.json": set_file(conductor=0),
+    "condneg.json": set_file(conductor=-3),
+    "cond361.json": set_file(conductor=361),
+    "rayint.json": set_file(rays=[5]),
+    "den0.json": set_file(rays=[[[[0, 1, 0]], [], []]]),
 }
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "bad.json"],
+    ["verify", "list.json"],
     ["verify", "dup.json"],
+    ["verify", "basis7.json"],
+    ["verify", "basisneg.json"],
+    ["verify", "cond0.json"],
+    ["verify", "condneg.json"],
+    ["verify", "cond361.json"],
+    ["verify", "rayint.json"],
+    ["verify", "den0.json"],
+    ["sic", "--seed", "(1,z361,0)"],
     ["sic", "--seed", "(1,1)"],
     ["generate", "--seed", "(1,0,0)", "--gens", "Q"],
     ["game", "new33", "--alice", "a", "--bob", "1"],

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ksverify.cyclotomic import Cyc, cyclotomic_polynomial, omega, sqrt2
+from ksverify.cyclotomic import (
+    MAX_CONDUCTOR,
+    Cyc,
+    cyclotomic_polynomial,
+    omega,
+    sqrt2,
+)
 
 W = omega()
 ONE = Cyc.one()
@@ -62,6 +68,18 @@ def test_even_conductor_normalizes_to_odd_half():
     assert zeta6 == -(W**2)
     assert zeta6.minimal_form()[0] == 3
     assert Cyc.root_of_unity(2, 1) == -1
+
+
+def test_conductor_bound():
+    assert MAX_CONDUCTOR == 360
+    assert Cyc.root_of_unity(360, 7) ** 360 == ONE
+    for n in (-3, 0, 361):
+        for make in (lambda: Cyc(n, [1]), lambda: Cyc.root_of_unity(n),
+                     lambda: Cyc.from_triples(n, [[1, 1, 1]])):
+            with pytest.raises(ValueError, match="outside 1..360"):
+                make()
+    with pytest.raises(ValueError, match="conductor 4199 is outside"):
+        Cyc.root_of_unity(13) * Cyc.root_of_unity(17) * Cyc.root_of_unity(19)
 
 
 def test_inverse_and_division():

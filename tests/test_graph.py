@@ -7,21 +7,22 @@ from ksverify.cyclotomic import omega
 from ksverify.orthograph import (
     automorphisms,
     build_graph,
-    close_under_products,
     complete_bases,
     dimacs_edges,
     enumerate_automorphisms,
     greedy_clique_cover,
     independence_number,
     max_independent_set,
-    orbits_of_group,
 )
 from ksverify.rays import Ray, validate_basis
 
 from oracles import (
     alpha_exhaustive,
     alpha_powerset,
+    automorphisms_bruteforce,
+    close_under_products,
     count_orthogonal_pairs,
+    orbits_of_group,
     parse_dimacs_edges,
     random_graph,
     triangles_direct,
@@ -127,24 +128,30 @@ def test_automorphisms_path():
 
 
 def test_new33_automorphisms():
-    inst = builtin("new33")
-    rep = automorphisms(inst.graph)
-    assert rep.order == 144
+    rep = automorphisms(builtin("new33").graph)
+    assert rep.order == len(rep.elements) == 144
     assert sorted(len(o) for o in rep.orbits) == [3, 12, 18]
-    adj = inst.graph.adj
-    n = inst.graph.n
-    for gperm in rep.generators:
-        for u in range(n):
-            for v in range(n):
-                assert (adj[u] >> v & 1) == (adj[gperm[u]] >> gperm[v] & 1)
+    assert list(rep.elements) == sorted(set(rep.elements))
 
 
 def test_generator_closure_reproduces_group_and_orbits():
-    inst = builtin("new33")
-    rep = automorphisms(inst.graph)
-    group = close_under_products(rep.generators, inst.graph.n)
-    assert len(group) == rep.order
-    assert orbits_of_group(sorted(group), inst.graph.n) == rep.orbits
+    """The elements are closed, preserve adjacency and give union-find orbits."""
+    for name in ("new33", "peres33", "conway31", "yuoh13"):
+        g = builtin(name).graph
+        rep = automorphisms(g)
+        assert tuple(range(g.n)) in rep.elements
+        assert close_under_products(rep.elements, g.n) == set(rep.elements)
+        for p in rep.elements:
+            for u in range(g.n):
+                for v in range(g.n):
+                    assert (g.adj[u] >> v & 1) == (g.adj[p[u]] >> p[v] & 1)
+        assert orbits_of_group(rep.elements, g.n) == rep.orbits
+
+
+def test_enumerate_automorphisms_matches_permutation_scan():
+    for seed in range(40):
+        adj = random_graph(4 + seed % 4, 0.2 + 0.15 * (seed % 5), seed)
+        assert enumerate_automorphisms(adj) == automorphisms_bruteforce(adj)
 
 
 def test_legacy_automorphism_orders():

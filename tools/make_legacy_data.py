@@ -41,7 +41,7 @@ def rays_from_texts(texts) -> list[Ray]:
     return [parse_ray(t) for t in texts]
 
 
-def verify(name, rays, bases, aut_order, orbits, conductor):
+def verify(name, rays, bases, aut_order, orbits):
     inst = KSInstance(name, rays)
     rep = automorphisms(inst.graph)
     res = find_ks_assignment(inst)
@@ -62,7 +62,7 @@ def make_peres33():
     rays += signed_perms((0, 1, 1))
     rays += signed_perms((0, 1, s2))
     rays += signed_perms((1, 1, s2))
-    inst = verify("peres33", rays, bases=16, aut_order=48, orbits=4, conductor=24)
+    inst = verify("peres33", rays, bases=16, aut_order=48, orbits=4)
     save_set(
         inst,
         DATA / "peres33.json",
@@ -87,7 +87,7 @@ CONWAY31 = [
 
 def make_conway31():
     inst = verify("conway31", rays_from_texts(CONWAY31),
-                  bases=17, aut_order=4, orbits=10, conductor=1)
+                  bases=17, aut_order=4, orbits=10)
     save_set(
         inst,
         DATA / "conway31.json",
