@@ -26,9 +26,8 @@ import json
 import os
 from pathlib import Path
 
-from .colorability import KSInstance, find_ks_assignment
+from .colorability import KSInstance
 from .cyclotomic import Cyc, check_conductor, omega
-from .orthograph import automorphisms
 from .rays import Ray, validate_basis
 
 DATA_DIR_ENV = "KSVERIFY_DATA_DIR"
@@ -147,9 +146,21 @@ def load_set(path, *, strict: bool = True) -> KSInstance:
     if not isinstance(doc, dict):
         raise InvalidSetError(f"{path}: not a JSON object")
     name = doc.get("name", path.stem)
+    conductor = doc.get("conductor", 1)
+    declared = doc.get("declared_bases", [])
+    notes = doc.get("notes", [])
+    for field, value, ok, kind in (
+        ("name", name, isinstance(name, str), "a string"),
+        ("conductor", conductor, type(conductor) is int, "an integer"),
+        ("declared_bases", declared, isinstance(declared, list), "a list"),
+        ("notes", notes, isinstance(notes, list)
+         and all(isinstance(n, str) for n in notes), "a list of strings"),
+    ):
+        if not ok:
+            raise InvalidSetError(f"{path}: {field} {value!r} is not {kind}")
     try:
-        conductor = check_conductor(int(doc.get("conductor", 1)))
-    except (TypeError, ValueError) as exc:
+        check_conductor(conductor)
+    except ValueError as exc:
         raise InvalidSetError(f"{path}: {exc}") from None
     ray_specs = doc.get("rays", [])
     if not isinstance(ray_specs, list) or not ray_specs:
@@ -162,7 +173,7 @@ def load_set(path, *, strict: bool = True) -> KSInstance:
             rays.append(Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec)))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidSetError(f"{path}: ray {i} {spec!r}: {exc}") from None
-    notes = list(doc.get("notes", []))
+    notes = list(notes)
     if doc.get("provenance"):
         notes.insert(0, f"provenance: {doc['provenance']}")
     problems = []
@@ -173,7 +184,7 @@ def load_set(path, *, strict: bool = True) -> KSInstance:
                 f"rays {seen[ray]} and {i} are the same projective ray {ray}")
         else:
             seen[ray] = i
-    for bi, triple in enumerate(doc.get("declared_bases", [])):
+    for bi, triple in enumerate(declared):
         if not (isinstance(triple, list) and len(triple) == 3
                 and all(type(i) is int and 0 <= i < len(rays) for i in triple)):
             raise InvalidSetError(f"{path}: declared basis {bi} {triple!r} is "
@@ -224,36 +235,16 @@ def save_set(inst: KSInstance, path, provenance: str = "") -> None:
 # -- summary report ------------------------------------------------------------
 
 
-class SetSummary:
-    __slots__ = (
-        "name", "rays", "bases", "vertex_types", "aut_order",
-        "ks_unsat", "search_nodes", "minimal_split", "notes",
-    )
-
-    def __init__(self, inst: KSInstance, minimal_split: str | None = None):
-        report = automorphisms(inst.graph)
-        result = find_ks_assignment(inst)
-        self.name = inst.name
-        self.rays = inst.graph.n
-        self.bases = len(inst.bases)
-        self.vertex_types = len(report.orbits)
-        self.aut_order = report.order
-        self.ks_unsat = not result.satisfiable
-        self.search_nodes = result.nodes
-        self.minimal_split = minimal_split
-        self.notes = inst.notes
-
-
-def summary_table(summaries) -> str:
-    """Fixed-width text table, deterministic."""
+def summary_table(sets) -> str:
+    """Fixed-width text table of (name, facts) pairs as `table1` builds them."""
     headers = ["set", "rays", "bases", "vertex types", "symmetry", "KS", "minimal"]
     rows = [
         [
-            s.name, str(s.rays), str(s.bases), str(s.vertex_types),
-            str(s.aut_order), "UNSAT" if s.ks_unsat else "SAT",
-            s.minimal_split or "-",
+            name, str(f["rays"]), str(f["bases"]), str(f["orbit_count"]),
+            str(f["aut_order"]), f["ks"],
+            f.get("minimal_split") or f.get("minimal_search") or "-",
         ]
-        for s in summaries
+        for name, f in sets
     ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]

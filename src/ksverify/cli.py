@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import catalog
-from .catalog import MissingDataError, SetSummary, builtin, load_set, summary_table
+from .catalog import MissingDataError, builtin, load_set, summary_table
 from .colorability import KSInstance, find_ks_assignment
 from .game import (
     Game,
@@ -38,7 +38,8 @@ EXIT_MISSING_DATA = 3
 EXIT_MISMATCH = 4
 EXIT_INCOMPLETE = 5
 
-# Published reference values checked by --expect-paper.
+# Published reference values checked by --expect-paper, keyed like the facts
+# each subcommand returns: {set name: {key: value}}.
 EXPECTED = {
     "new33": {
         "rays": 33, "bases": 14, "aut_order": 144, "orbit_sizes": [3, 12, 18],
@@ -46,7 +47,9 @@ EXPECTED = {
         "classical": Fraction(44, 45), "quantum": Fraction(1),
         "minimal_product": 45, "minimal_split": "5-9",
     },
-    "yuoh13": {"rays": 13, "bases": 4, "ks": "SAT"},
+    # the Z-closure of the 13 rays is the new33 ray set; X maps them to themselves
+    "yuoh13": {"rays": 13, "bases": 4, "ks": "SAT",
+               "Z_closure_is_new33": True, "X_closure_is_seed": True},
     "peres33": {"rays": 33, "bases": 16, "aut_order": 48, "orbit_count": 4,
                 "ks": "UNSAT", "minimal_split": "7-9"},
     "conway31": {"rays": 31, "bases": 17, "aut_order": 4, "orbit_count": 10,
@@ -55,32 +58,16 @@ EXPECTED = {
                    "ks": "UNSAT", "minimal_split": "8-9"},
     "penrose33": {"rays": 33, "bases": 16, "aut_order": 48, "orbit_count": 4,
                   "ks": "UNSAT", "minimal_split": "7-9"},
+    # every seed given to `sic` has an {X, Z} orbit that is a SIC-POVM
+    "xz_orbit": {"sic_povm": True},
 }
 
 
-class Expectations:
-    """Collects computed-vs-expected comparisons for --expect-paper."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.failures: list[str] = []
-
-    def check(self, set_name: str, key: str, actual) -> None:
-        if not self.enabled:
-            return
-        expected = EXPECTED.get(set_name, {}).get(key)
-        if expected is None:
-            return
-        if actual != expected:
-            self.failures.append(
-                f"{set_name}.{key}: computed {actual}, expected {expected}")
-
-    def exit_code(self) -> int:
-        if self.failures:
-            for f in self.failures:
-                print(f"EXPECT-PAPER MISMATCH: {f}")
-            return EXIT_MISMATCH
-        return EXIT_OK
+def mismatches(facts: dict) -> list[str]:
+    """One line per computed fact that differs from its EXPECTED value."""
+    return [f"{name}.{key}: computed {value}, expected {EXPECTED[name][key]}"
+            for name, values in facts.items() for key, value in values.items()
+            if key in EXPECTED.get(name, {}) and value != EXPECTED[name][key]]
 
 
 def _get_instance(name_or_path: str) -> KSInstance:
@@ -119,9 +106,10 @@ def _game_from_args(inst: KSInstance, args) -> Game:
 
 
 # -- subcommand handlers ---------------------------------------------------------
+# Each returns the facts it printed as {set name: {key: value}}, or an early exit code.
 
 
-def cmd_verify(args, expect: Expectations) -> int:
+def cmd_verify(args) -> dict:
     inst = _get_instance(args.set)
     _print_notes(inst)
     result = find_ks_assignment(inst)
@@ -137,23 +125,20 @@ def cmd_verify(args, expect: Expectations) -> int:
         with open(args.export_cnf, "w", encoding="utf-8") as fh:
             fh.write(to_dimacs_cnf(inst))
         print(f"constraint system written to {args.export_cnf} (DIMACS CNF)")
-    expect.check(inst.name, "rays", inst.graph.n)
-    expect.check(inst.name, "bases", len(inst.bases))
-    expect.check(inst.name, "ks", verdict)
-    return EXIT_OK
+    return {inst.name: {"rays": inst.graph.n, "bases": len(inst.bases),
+                        "ks": verdict, "ks_nodes": result.nodes}}
 
 
-def cmd_bases(args, expect: Expectations) -> int:
+def cmd_bases(args) -> dict:
     inst = _get_instance(args.set)
     _print_notes(inst)
     print(f"{inst.name}: {len(inst.bases)} complete bases")
     for i, basis in enumerate(inst.bases):
         print(f"{i}: {basis}")
-    expect.check(inst.name, "bases", len(inst.bases))
-    return EXIT_OK
+    return {inst.name: {"bases": len(inst.bases)}}
 
 
-def cmd_symmetry(args, expect: Expectations) -> int:
+def cmd_symmetry(args) -> dict:
     inst = _get_instance(args.set)
     _print_notes(inst)
     report = automorphisms(inst.graph)
@@ -163,13 +148,11 @@ def cmd_symmetry(args, expect: Expectations) -> int:
     for oi, orbit in enumerate(report.orbits):
         members = ", ".join(str(inst.graph.vertices[v]) for v in orbit)
         print(f"orbit {oi} (size {len(orbit)}): {members}")
-    expect.check(inst.name, "aut_order", report.order)
-    expect.check(inst.name, "orbit_sizes", sizes)
-    expect.check(inst.name, "orbit_count", len(report.orbits))
-    return EXIT_OK
+    return {inst.name: {"aut_order": report.order, "orbit_sizes": sizes,
+                        "orbit_count": len(report.orbits)}}
 
 
-def cmd_game(args, expect: Expectations) -> int:
+def cmd_game(args) -> dict | int:
     inst = _get_instance(args.set)
     _print_notes(inst)
     game = _game_from_args(inst, args)
@@ -196,17 +179,14 @@ def cmd_game(args, expect: Expectations) -> int:
         export_exclusivity_graph(game, args.export_graph, args.export_legend)
         print(f"exclusivity graph written to {args.export_graph}"
               + (f" with legend {args.export_legend}" if args.export_legend else ""))
-    expect.check(inst.name, "contexts", game.n_contexts())
-    expect.check(inst.name, "events", total)
-    expect.check(inst.name, "classical", value.classical)
-    expect.check(inst.name, "quantum", quantum)
     if value.classical != cross:
         print("INTERNAL MISMATCH: exclusivity-graph and strategy enumeration disagree")
         return EXIT_MISMATCH
-    return EXIT_OK
+    return {inst.name: {"contexts": game.n_contexts(), "events": total,
+                        "classical": value.classical, "quantum": quantum}}
 
 
-def cmd_minimal(args, expect: Expectations) -> int:
+def cmd_minimal(args) -> dict | int:
     inst = _get_instance(args.set)
     _print_notes(inst)
     result = minimal_distribution_search(inst, budget_seconds=args.budget)
@@ -216,7 +196,7 @@ def cmd_minimal(args, expect: Expectations) -> int:
         return EXIT_INCOMPLETE
     if result.product is None:
         print(f"{inst.name}: no basis split refutes all classical strategies")
-        return EXIT_OK
+        return {}
     print(f"{inst.name}: minimal refutable split {result.split()} "
           f"(product {result.product})")
     print(f"Alice basis indices: {list(result.alice_bases)}")
@@ -224,12 +204,11 @@ def cmd_minimal(args, expect: Expectations) -> int:
     print("note: minimality criterion is the absence of a perfect classical "
           "strategy, searched exhaustively over basis subsets up to "
           "instance symmetry")
-    expect.check(inst.name, "minimal_product", result.product)
-    expect.check(inst.name, "minimal_split", result.split())
-    return EXIT_OK
+    return {inst.name: {"minimal_product": result.product,
+                        "minimal_split": result.split()}}
 
 
-def cmd_generate(args, expect: Expectations) -> int:
+def cmd_generate(args) -> dict:
     if args.seed in catalog.BUILTIN_NAMES:
         seed = list(builtin(args.seed).graph.vertices)
         seed_name = args.seed
@@ -249,15 +228,12 @@ def cmd_generate(args, expect: Expectations) -> int:
     if args.print_rays:
         for r in closure:
             print(f"  {r}")
-    if expect.enabled and seed_name == "yuoh13":
-        if labels == ["Z"] and not equal:
-            expect.failures.append("yuoh13.Z-closure: expected new33 ray set")
-        if labels == ["X"] and not same_as_seed:
-            expect.failures.append("yuoh13.X-closure: expected the seed set")
-    return EXIT_OK
+    key = "".join(labels) + "_closure"
+    return {seed_name: {key + "_rays": len(closure), key + "_is_seed": same_as_seed,
+                        key + "_is_new33": equal}}
 
 
-def cmd_sic(args, expect: Expectations) -> int:
+def cmd_sic(args) -> dict:
     seed = parse_ray(args.seed)
     gens = [generator("X"), generator("Z")]
     orbit = orbit_closure([seed], gens)
@@ -273,51 +249,47 @@ def cmd_sic(args, expect: Expectations) -> int:
         print("normalized squared overlaps (diagonal 1, off-diagonal 1/4):")
         for row in report.overlaps:
             print("  " + " ".join(str(v) for v in row))
-    if expect.enabled and not report.is_sic:
-        expect.failures.append(f"sic({seed}): expected a SIC-POVM")
-    return EXIT_OK
+    return {"xz_orbit": {"seed": str(seed), "rays": len(orbit), "sic_povm": report.is_sic}}
 
 
-def cmd_majorana(args, expect: Expectations) -> int:
+def cmd_majorana(args) -> dict:
     inst = _get_instance(args.set)
     _print_notes(inst)
     export_majorana(inst, args.out)
     print(f"{inst.name}: wrote {2 * inst.graph.n} sphere points "
           f"({inst.graph.n} rays) to {args.out}")
-    return EXIT_OK
+    return {inst.name: {"sphere_points": 2 * inst.graph.n}}
 
 
-def cmd_table1(args, expect: Expectations) -> int:
+def cmd_table1(args) -> dict:
     names = args.sets.split(",") if args.sets else [
         "schuette33", "conway31", "peres33", "penrose33", "new33"]
-    summaries = []
-    skipped = []
+    facts, shown, skipped = {}, [], []
     for name in names:
         try:
             inst = _get_instance(name)
         except MissingDataError as exc:
             skipped.append((name, str(exc)))
             continue
-        minimal = None
+        report = automorphisms(inst.graph)
+        satisfiable = find_ks_assignment(inst).satisfiable
+        row = facts[name] = {
+            "rays": inst.graph.n, "bases": len(inst.bases),
+            "orbit_count": len(report.orbits), "aut_order": report.order,
+            "ks": "SAT" if satisfiable else "UNSAT"}
         if args.minimal == "all" or (args.minimal == "new33" and name == "new33"):
             res = minimal_distribution_search(inst, budget_seconds=args.budget)
-            minimal = res.split() if res.complete else "incomplete"
-        s = SetSummary(inst, minimal_split=minimal)
-        summaries.append(s)
-        expect.check(name, "rays", s.rays)
-        expect.check(name, "bases", s.bases)
-        expect.check(name, "orbit_count", s.vertex_types)
-        expect.check(name, "aut_order", s.aut_order)
-        expect.check(name, "ks", "UNSAT" if s.ks_unsat else "SAT")
-        if minimal and minimal != "incomplete":
-            expect.check(name, "minimal_split", minimal)
-    print(summary_table(summaries), end="")
-    for s in summaries:
-        for note in s.notes:
-            print(f"note ({s.name}): {note}")
+            row["minimal_search"] = "complete" if res.complete else "incomplete"
+            if res.complete:
+                row["minimal_split"] = res.split()
+        shown.append((inst, row))
+    print(summary_table([(inst.name, row) for inst, row in shown]), end="")
+    for inst, _ in shown:
+        for note in inst.notes:
+            print(f"note ({inst.name}): {note}")
     for name, why in skipped:
         print(f"skipped {name}: {why}")
-    return EXIT_OK
+    return facts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,10 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    expect = Expectations(args.expect_paper)
     start = time.monotonic()
     try:
-        code = args.func(args, expect)
+        facts = args.func(args)
     except MissingDataError as exc:
         print(f"missing data: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
@@ -401,9 +372,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.timing:
         print(f"elapsed: {time.monotonic() - start:.2f}s", file=sys.stderr)
-    if code == EXIT_OK:
-        return expect.exit_code()
-    return code
+    if isinstance(facts, int):  # an early exit skips the --expect-paper comparison
+        return facts
+    if args.expect_paper and (lines := mismatches(facts)):
+        for line in lines:
+            print(f"EXPECT-PAPER MISMATCH: {line}")
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -101,7 +101,7 @@ def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     for j in range(phi, len(coeffs)):
         c = coeffs[j]
         if c:
-            row = table[j]
+            row = table[j % n]  # zeta^n = 1
             for i in range(phi):
                 out[i] += c * row[i]
     return tuple(out)

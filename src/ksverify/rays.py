@@ -194,7 +194,7 @@ def _parse_component(text: str) -> Cyc:
     if not s:
         raise ValueError("empty component")
     # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+|[+-](?=[+-])", s)
+    terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise ValueError(f"cannot parse component {text!r}")
     total = Cyc.zero()
@@ -206,7 +206,10 @@ def _parse_component(text: str) -> Cyc:
         if coef_text in (None, "+", "-"):
             coef = Fraction(-1 if coef_text == "-" else 1)
         else:
-            coef = Fraction(coef_text)
+            try:
+                coef = Fraction(coef_text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
         value = Cyc.from_rational(coef)
         if m.group("sym"):
             n = 3 if m.group("sym") == "w" else int(m.group("n"))

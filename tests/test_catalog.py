@@ -7,7 +7,6 @@ import pytest
 from ksverify.catalog import (
     InvalidSetError,
     MissingDataError,
-    SetSummary,
     builtin,
     load_set,
     new33_bases,
@@ -196,11 +195,19 @@ def test_printed_x3_file_reports_pairs(tmp_path):
 
 
 def test_summary_table_renders_deterministically():
-    summaries = [SetSummary(builtin("yuoh13"))]
-    a = summary_table(summaries)
-    b = summary_table([SetSummary(builtin("yuoh13"))])
+    def facts():
+        inst = builtin("yuoh13")
+        report = automorphisms(inst.graph)
+        return {"rays": inst.graph.n, "bases": len(inst.bases),
+                "orbit_count": len(report.orbits), "aut_order": report.order,
+                "ks": "SAT"}
+
+    a = summary_table([("yuoh13", facts())])
+    b = summary_table([("yuoh13", facts())])
     assert a == b
-    assert "yuoh13" in a and "SAT" in a
+    assert a.splitlines()[2].split() == ["yuoh13", "13", "4", "3", "24", "SAT", "-"]
+    c = summary_table([("yuoh13", {**facts(), "minimal_search": "incomplete"})])
+    assert c.splitlines()[2].split()[-1] == "incomplete"
 
 
 def test_yuoh13_rays_helper_matches_builtin():

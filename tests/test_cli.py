@@ -167,6 +167,24 @@ def test_expectation_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_sic_expectation_mismatch(capsys):
+    code, out = run(capsys, "--expect-paper", "sic", "--seed", "(1,0,0)")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == (
+        "EXPECT-PAPER MISMATCH: xz_orbit.sic_povm: computed False, expected True")
+
+
+def test_generate_expectation_mismatch(capsys, monkeypatch):
+    from ksverify import cli
+
+    monkeypatch.setitem(cli.EXPECTED["yuoh13"], "Z_closure_is_new33", False)
+    code, out = run(capsys, "--expect-paper", "generate",
+                    "--seed", "yuoh13", "--gens", "Z")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == ("EXPECT-PAPER MISMATCH: "
+                                    "yuoh13.Z_closure_is_new33: computed True, expected False")
+
+
 def test_reports_are_byte_identical(capsys):
     _, first = run(capsys, "game", "new33")
     _, second = run(capsys, "game", "new33")
@@ -197,6 +215,11 @@ BAD_FILES = {
     "cond361.json": set_file(conductor=361),
     "rayint.json": set_file(rays=[5]),
     "den0.json": set_file(rays=[[[[0, 1, 0]], [], []]]),
+    "basesint.json": set_file(declared_bases=5),
+    "notesint.json": set_file(notes=5),
+    "notesstr.json": set_file(notes="ab"),
+    "condfloat.json": set_file(conductor=1.5),
+    "namelist.json": set_file(name=["bad"]),
 }
 
 
@@ -211,7 +234,13 @@ BAD_FILES = {
     ["verify", "cond361.json"],
     ["verify", "rayint.json"],
     ["verify", "den0.json"],
+    ["verify", "basesint.json"],
+    ["verify", "notesint.json"],
+    ["verify", "notesstr.json"],
+    ["verify", "condfloat.json"],
+    ["verify", "namelist.json"],
     ["sic", "--seed", "(1,z361,0)"],
+    ["sic", "--seed", "(1,1/0,0)"],
     ["sic", "--seed", "(1,1)"],
     ["generate", "--seed", "(1,0,0)", "--gens", "Q"],
     ["game", "new33", "--alice", "a", "--bob", "1"],

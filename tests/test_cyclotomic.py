@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from ksverify.cyclotomic import (
     MAX_CONDUCTOR,
     Cyc,
+    _power_table,
     cyclotomic_polynomial,
     omega,
     sqrt2,
@@ -82,6 +84,11 @@ def test_conductor_bound():
         Cyc.root_of_unity(13) * Cyc.root_of_unity(17) * Cyc.root_of_unity(19)
 
 
+def test_long_coefficient_lists_wrap_around():
+    assert Cyc(1, [1, 1, 1]) == 3
+    assert Cyc(3, [1] * 5) == -W**2  # 1 + w + w^2 + w^3 + w^4 = 1 + w
+
+
 def test_inverse_and_division():
     assert W.inverse() * W == ONE
     assert (ONE / (ONE + W)) * (ONE + W) == ONE
@@ -112,7 +119,23 @@ def test_rational_detection():
 small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
-conductors = st.sampled_from([1, 3, 4, 5, 8, 9, 12, 24])
+CONDUCTORS = [1, 3, 4, 5, 8, 9, 12, 24]
+conductors = st.sampled_from(CONDUCTORS)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def warm_power_tables():
+    """Build the power tables of every conductor that cyc_numbers reach.
+
+    Sums and products coerce to lcms of CONDUCTORS (up to 360); building
+    such a table on first use inside an example can exceed the hypothesis
+    deadline on a slow host.
+    """
+    reachable = {1}
+    for n in CONDUCTORS:
+        reachable |= {lcm(m, n) for m in reachable}
+    for n in reachable:
+        _power_table(n)
 
 
 @st.composite

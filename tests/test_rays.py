@@ -10,6 +10,7 @@ from ksverify.rays import (
     complete_basis_third,
     inner,
     is_orthogonal,
+    _parse_component,
     parse_ray,
     validate_basis,
 )
@@ -130,6 +131,12 @@ def test_parse_ray_literals():
     assert parse_ray("(1+w,1,0)") == ray(1 + W, 1, 0)
     with pytest.raises(ValueError):
         parse_ray("(1,2)")
+
+
+@pytest.mark.parametrize("text", ["--1", "+-w", "1--w", "1/0", "w+0/0", "1+"])
+def test_malformed_component_is_rejected(text):
+    with pytest.raises(ValueError):
+        _parse_component(text)
 
 
 def test_str_shows_canonical_form():
