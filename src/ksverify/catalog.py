@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+from math import lcm
 from pathlib import Path
 
 from .colorability import KSInstance
@@ -133,12 +134,11 @@ def builtin(name: str) -> KSInstance:
     return inst
 
 
-def load_set(path, *, strict: bool = True) -> KSInstance:
+def load_set(path) -> KSInstance:
     """Parse, canonicalize and validate a set file.
 
-    With strict=True a declared basis failing orthogonality (or a duplicate
-    ray) raises InvalidSetError naming the offending pair; with
-    strict=False the violations are attached to the instance notes instead.
+    A duplicate ray or a declared basis failing orthogonality raises one
+    InvalidSetError naming every offending pair.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -196,21 +196,14 @@ def load_set(path, *, strict: bool = True) -> KSInstance:
                 f"and {triple[v.index_b]} have inner product {v.product}"
             )
     if problems:
-        if strict:
-            raise InvalidSetError(f"{path}: " + "; ".join(problems))
-        notes.extend(problems)
+        raise InvalidSetError(f"{path}: " + "; ".join(problems))
     return KSInstance(name, rays, notes=tuple(notes))
 
 
 def serialize(inst: KSInstance, provenance: str = "") -> dict:
     """JSON document for an instance (canonical rays, conductor = lcm)."""
-    from math import gcd
-
-    conductor = 1
-    for ray in inst.graph.vertices:
-        for c in ray.canonical:
-            d = c.minimal_form()[0]
-            conductor = conductor * d // gcd(conductor, d)
+    conductor = lcm(*(c.minimal_form()[0]
+                      for ray in inst.graph.vertices for c in ray.canonical))
     doc = {
         "name": inst.name,
         "conductor": conductor,

@@ -182,8 +182,10 @@ def cmd_game(args) -> dict | int:
     if value.classical != cross:
         print("INTERNAL MISMATCH: exclusivity-graph and strategy enumeration disagree")
         return EXIT_MISMATCH
-    return {inst.name: {"contexts": game.n_contexts(), "events": total,
-                        "classical": value.classical, "quantum": quantum}}
+    # an explicit split is keyed apart, so the default-split references skip it
+    key = f"{inst.name}[{args.alice}|{args.bob}]" if args.alice else inst.name
+    return {key: {"contexts": game.n_contexts(), "events": total,
+                  "classical": value.classical, "quantum": quantum}}
 
 
 def cmd_minimal(args) -> dict | int:
@@ -273,7 +275,7 @@ def cmd_table1(args) -> dict:
             continue
         report = automorphisms(inst.graph)
         satisfiable = find_ks_assignment(inst).satisfiable
-        row = facts[name] = {
+        row = facts[inst.name] = {
             "rays": inst.graph.n, "bases": len(inst.bases),
             "orbit_count": len(report.orbits), "aut_order": report.order,
             "ks": "SAT" if satisfiable else "UNSAT"}

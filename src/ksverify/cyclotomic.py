@@ -16,22 +16,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
-
-
-def _phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+from math import lcm
 
 
 def _divisors(n: int) -> list[int]:
@@ -71,6 +56,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if d < n:
             poly = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
+
+
+def _phi(n: int) -> int:
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 @functools.cache
@@ -224,20 +213,11 @@ class Cyc:
             return Cyc.from_rational(value)
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
 
-    def to_conductor(self, m: int) -> "Cyc":
-        """Re-express in Q(zeta_m); m must be a multiple of the minimal conductor."""
-        d, coeffs = self.minimal_form()
-        if m == d:
-            return self
-        if m % d != 0:
-            raise ValueError(f"{self} does not lie in Q(zeta_{m})")
-        return Cyc(d, coeffs)._embed(m)
-
     @staticmethod
     def _common(a: "Cyc", b: "Cyc") -> tuple[int, tuple, tuple]:
         if a.n == b.n:
             return a.n, a.coeffs, b.coeffs
-        m = a.n * b.n // gcd(a.n, b.n)
+        m = lcm(a.n, b.n)
         ac = a if a.n == m else a._embed(m)
         bc = b if b.n == m else b._embed(m)
         return m, ac.coeffs, bc.coeffs
@@ -389,6 +369,8 @@ class Cyc:
             other = Cyc.from_rational(other)
         if not isinstance(other, Cyc):
             return NotImplemented
+        if self.n == other.n:  # the reduced form at one conductor is unique
+            return self.coeffs == other.coeffs
         return self.minimal_form() == other.minimal_form()
 
     def __hash__(self) -> int:
@@ -405,13 +387,6 @@ class Cyc:
             (c.denominator, abs(c.numerator), c.numerator < 0) for c in coeffs))
 
     # -- I/O -----------------------------------------------------------------
-
-    def to_triples(self) -> list[list[int]]:
-        """[[power, numerator, denominator], ...] over the minimal conductor."""
-        _, coeffs = self.minimal_form()
-        return [
-            [j, c.numerator, c.denominator] for j, c in enumerate(coeffs) if c != 0
-        ]
 
     def to_triples_at(self, n: int) -> list[list[int]]:
         """Triples with powers re-expressed for a declared conductor n."""

@@ -305,7 +305,7 @@ def _win_choice_masks(inst: KSInstance) -> list[list[list[int]]]:
 
 
 def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
-    """For each Alice strategy on X, the bitmask of unanswerable Bob bases.
+    """The distinct bitmasks of Bob bases unanswerable by Alice strategies on X, sorted.
 
     Returns None as soon as some strategy answers every basis (the pair
     (X, anything) then has a perfect classical strategy).
@@ -332,40 +332,22 @@ def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
 
     if not dfs(0, tuple([7] * nb)):
         return None
-    # keep only inclusion-minimal bad sets
-    minimal: list[int] = []
-    for b in sorted(bads, key=lambda m: (m.bit_count(), m)):
-        if not any(b & m == m for m in minimal):
-            minimal.append(b)
-    return minimal
+    return sorted(bads)
 
 
-def _min_hitting_set_size(sets: list[int], cap: int) -> int | None:
-    """Exact minimum hitting set size over bitmask sets, or None if > cap."""
+def _hits(sets: list[int], k: int) -> bool:
+    """Whether k or fewer bases meet every bitmask set; branches on the smallest set."""
     if not sets:
-        return 0
-
-    best: int | None = None
-
-    def dfs(remaining: list[int], size: int) -> None:
-        nonlocal best
-        bound = (best - 1) if best is not None else cap
-        if size > bound:
-            return
-        if not remaining:
-            best = size
-            return
-        if size == bound:
-            return  # any hit would exceed the bound
-        target = min(remaining, key=lambda m: (m.bit_count(), m))
-        m = target
-        while m:
-            bit = m & -m
-            m ^= bit
-            dfs([s for s in remaining if not s & bit], size + 1)
-
-    dfs(sets, 0)
-    return best
+        return True
+    if k == 0:
+        return False
+    m = min(sets, key=lambda s: (s.bit_count(), s))
+    while m:
+        bit = m & -m
+        m ^= bit
+        if _hits([s for s in sets if not s & bit], k - 1):
+            return True
+    return False
 
 
 def minimal_distribution_search(
@@ -376,10 +358,9 @@ def minimal_distribution_search(
     Searches products in ascending order over subset pairs of the complete
     bases, enumerating only the smaller side up to instance symmetry (the
     win predicate is symmetric in the two parties, so the smaller side can
-    always be taken as Alice's).  For fixed X the refutable Y of size b
-    exist iff b is at least the minimum hitting set of the per-strategy
-    unanswerable-basis sets, which turns the inner scan into a tiny exact
-    cover problem.
+    always be taken as Alice's).  For fixed X a refutable Y of size b
+    exists iff some b bases meet every per-strategy unanswerable-basis set,
+    so a small hitting-set decision gates the lex-first scan for Y.
     """
     nb = len(inst.basis_indices)
     if nb == 0:
@@ -388,7 +369,7 @@ def minimal_distribution_search(
     W = _win_choice_masks(inst)
     start = time.monotonic()
     checked = 0
-    # lazily computed per canonical X: minimal bad sets (None = never refutable)
+    # lazily computed per canonical X: bad sets (None = never refutable)
     bad_cache: dict[tuple[int, ...], list[int] | None] = {}
 
     def canonical_subsets(size: int) -> list[tuple[int, ...]]:
@@ -419,16 +400,12 @@ def minimal_distribution_search(
                 if X not in bad_cache:
                     bad_cache[X] = _bad_sets_for(X, W, nb)
                 bads = bad_cache[X]
-                if bads is None:
+                if bads is None or not _hits(bads, b):
                     continue
-                size = _min_hitting_set_size(bads, cap=b)
-                if size is not None and size <= b:
-                    for Y in itertools.combinations(range(nb), b):
-                        y_mask = 0
-                        for j in Y:
-                            y_mask |= 1 << j
-                        if all(s & y_mask for s in bads):
-                            return MinimalSplitResult(
-                                product, X, Y, True, checked
-                            )
+                for Y in itertools.combinations(range(nb), b):
+                    y_mask = 0
+                    for j in Y:
+                        y_mask |= 1 << j
+                    if all(s & y_mask for s in bads):
+                        return MinimalSplitResult(product, X, Y, True, checked)
     return MinimalSplitResult(None, None, None, True, checked)

@@ -173,40 +173,18 @@ class AutGroupReport:
         return len(self.elements)
 
 
-def equitable_colors(adj) -> list[int]:
-    """Stable vertex colors under iterated neighbor-color refinement."""
-    n = len(adj)
-    colors = [adj[v].bit_count() for v in range(n)]
-    while True:
-        signatures = []
-        for v in range(n):
-            neigh = []
-            m = adj[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                neigh.append(colors[u])
-            signatures.append((colors[v], tuple(sorted(neigh))))
-        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new_colors = [palette[sig] for sig in signatures]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
-
-
 def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, in deterministic order.
 
-    Backtracking over vertex images with equitable-partition candidates and
-    forward-checking; intended for the catalog-scale graphs (tens of
-    vertices, small groups), not for highly symmetric large graphs.
+    Backtracking over vertex images: each vertex starts from the vertices
+    of its degree, the most-constrained vertex is mapped first, and every
+    choice is forward-checked against the rest.  Intended for the
+    catalog-scale graphs (tens of vertices, small groups), not for highly
+    symmetric large graphs.
     """
     n = len(adj)
-    colors = equitable_colors(adj)
-    color_mask: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        color_mask[c] = color_mask.get(c, 0) | (1 << v)
-    base_cand = [color_mask[colors[v]] for v in range(n)]
+    degrees = [m.bit_count() for m in adj]
+    base_cand = [sum(1 << u for u, du in enumerate(degrees) if du == d) for d in degrees]
     found: list[tuple[int, ...]] = []
     image = [-1] * n
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import Cyc
 
@@ -25,18 +25,11 @@ def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
     scaled = tuple(c / first for c in components)
     # clear denominators and divide out integer content, jointly
     fracs = [x for c in scaled for x in c.minimal_form()[1]]
-    lcm_den = 1
-    for f in fracs:
-        lcm_den = lcm_den * f.denominator // gcd(lcm_den, f.denominator)
-    content = 0
-    for f in fracs:
-        content = gcd(content, abs(f.numerator * (lcm_den // f.denominator)))
+    lcm_den = lcm(*(f.denominator for f in fracs))
+    content = gcd(*(f.numerator * (lcm_den // f.denominator) for f in fracs))
     factor = Fraction(lcm_den, content)
     integral = tuple(c * factor for c in scaled)
-    conductor = 1
-    for c in integral:
-        d = c.minimal_form()[0]
-        conductor = conductor * d // gcd(conductor, d)
+    conductor = lcm(*(c.minimal_form()[0] for c in integral))
     one = Cyc.one()
     units = [Cyc.root_of_unity(conductor, k) for k in range(conductor)]
     units += [-u for u in units]

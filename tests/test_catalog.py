@@ -1,8 +1,10 @@
 """Catalog: builtin sets, file round-trips, validation reports."""
 
+import contextlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksverify.catalog import (
     InvalidSetError,
@@ -167,8 +169,6 @@ def test_duplicate_rays_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidSetError, match="same projective ray"):
         load_set(path)
-    relaxed = load_set(path, strict=False)
-    assert relaxed.graph.n == 1
 
 
 def test_printed_x3_file_reports_pairs(tmp_path):
@@ -188,10 +188,9 @@ def test_printed_x3_file_reports_pairs(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidSetError) as err:
         load_set(path)
-    assert "-2" in str(err.value) and "-2*w" in str(err.value)
-    inst = load_set(path, strict=False)
-    reports = [n for n in inst.notes if "inner product" in n]
-    assert len(reports) == 2
+    message = str(err.value)
+    assert "-2" in message and "-2*w" in message
+    assert message.count("inner product") == 2
 
 
 def test_summary_table_renders_deterministically():
@@ -212,3 +211,47 @@ def test_summary_table_renders_deterministically():
 
 def test_yuoh13_rays_helper_matches_builtin():
     assert frozenset(yuoh13_rays()) == builtin("yuoh13").ray_set()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def components(denominators):
+    triples = st.tuples(st.integers(-20, 20), st.integers(-3, 3), denominators)
+    return st.lists(triples.map(list), max_size=3)
+
+
+ray_specs = st.lists(components(st.integers(1, 3)), min_size=3, max_size=3)
+junk_ray_specs = st.lists(components(st.integers(-3, 3)) | json_values, max_size=4)
+fields = {
+    "name": st.text(max_size=6),
+    "provenance": st.text(max_size=6),
+    "declared_bases": st.lists(st.lists(st.integers(-1, 8), min_size=3, max_size=3),
+                               max_size=3),
+    "notes": st.lists(st.text(max_size=4), max_size=2),
+}
+# well-formed documents, then the same with any field missing or replaced by junk
+set_documents = st.fixed_dictionaries(
+    {"conductor": st.sampled_from([1, 3, 4, 8]),
+     "rays": st.lists(ray_specs, min_size=1, max_size=8)},
+    optional=fields,
+) | st.fixed_dictionaries({}, optional={
+    "conductor": st.sampled_from([1, 3, 4, 8]) | st.integers(max_value=0)
+    | st.integers(min_value=361) | json_values,
+    "rays": st.lists(ray_specs | junk_ray_specs, max_size=8) | json_values,
+    **{key: value | json_values for key, value in fields.items()},
+})
+
+
+@settings(deadline=None)
+@given(set_documents | json_values)
+def test_load_set_gives_an_instance_or_value_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.suppress(ValueError):
+        load_set(path)

@@ -69,9 +69,12 @@ def test_game_exports(tmp_path, capsys):
 
 
 def test_game_with_explicit_split(capsys):
-    code, out = run(capsys, "game", "new33", "--alice", "0,1", "--bob", "2,3")
+    argv = ["game", "new33", "--alice", "0,1", "--bob", "2,3"]
+    code, out = run(capsys, *argv)
     assert code == EXIT_OK
     assert "contexts = 4" in out
+    # the default-split references do not describe an explicit split
+    assert run(capsys, "--expect-paper", *argv) == (EXIT_OK, out)
 
 
 def test_minimal(capsys):
@@ -125,6 +128,22 @@ def test_table1(capsys):
     assert "new33" in out and "5-9" in out
     assert "peres33" in out and "48" in out
     assert "skipped penrose33" in out
+
+
+def test_table1_keys_rows_by_set_name(tmp_path, capsys):
+    from ksverify.catalog import builtin, save_set
+    from ksverify.colorability import KSInstance
+
+    peres = builtin("peres33")
+    path = tmp_path / "renamed.json"
+    save_set(KSInstance("new33", peres.graph.vertices), path)
+    code, out = run(capsys, "--expect-paper", "table1", "--sets", str(path),
+                    "--minimal", "none")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-2:] == [
+        "EXPECT-PAPER MISMATCH: new33.bases: computed 16, expected 14",
+        "EXPECT-PAPER MISMATCH: new33.aut_order: computed 48, expected 144",
+    ]
 
 
 def test_table1_skips_missing_politely(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ksverify.cyclotomic import (
     MAX_CONDUCTOR,
@@ -100,7 +100,7 @@ def test_triples_roundtrip():
     assert Cyc.from_triples(3, [[2, 1, 1]]) == W**2
     for value in (W**2, -2 * W, Cyc.from_rational(Fraction(3, 7)), sqrt2()):
         n, _ = value.minimal_form()
-        assert Cyc.from_triples(n, value.to_triples()) == value
+        assert Cyc.from_triples(n, value.to_triples_at(n)) == value
 
 
 def test_triples_at_declared_conductor():
@@ -175,12 +175,14 @@ def test_coercion_roundtrip(a, factor):
     m = n * factor
     if m % 4 == 2:
         m *= 2
-    up = a.to_conductor(m)
+    up = Cyc(*a.minimal_form()) + Cyc.from_triples(m, [])
+    assert up.n == m
     assert up == a
     assert up.minimal_form() == a.minimal_form()
 
 
 @given(cyc_numbers(), cyc_numbers(), cyc_numbers())
+@example(Cyc(5, [0, -4]), Cyc(4, [0, 4]), Cyc(9, [2, 2]))  # common conductor 180
 def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c

@@ -1,12 +1,15 @@
 """Game construction, exact values, exports, minimality search."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ksverify.catalog import builtin
 from ksverify.cyclotomic import omega
 from ksverify.game import (
+    _hits,
     build_game,
     classical_value,
     classical_value_twolevel,
@@ -219,3 +222,18 @@ def test_budget_flag_reports_incomplete():
     inst = builtin("new33")
     result = minimal_distribution_search(inst, budget_seconds=0.0)
     assert not result.complete
+
+
+@st.composite
+def basis_families(draw):
+    nb = draw(st.integers(1, 10))
+    sets = draw(st.lists(st.integers(1, (1 << nb) - 1), max_size=12))
+    return nb, sets, draw(st.integers(0, nb))
+
+
+@given(basis_families())
+def test_hits_matches_combination_scan(family):
+    nb, sets, k = family
+    scan = any(all(s & sum(1 << j for j in Y) for s in sets)
+               for Y in itertools.combinations(range(nb), k))
+    assert _hits(sets, k) == scan

@@ -1,7 +1,9 @@
 """Rays: canonical forms, inner products, basis completion and validation."""
 
+import contextlib
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ksverify.cyclotomic import Cyc, omega
 from ksverify.rays import (
@@ -137,6 +139,25 @@ def test_parse_ray_literals():
 def test_malformed_component_is_rejected(text):
     with pytest.raises(ValueError):
         _parse_component(text)
+
+
+signed_terms = st.builds(
+    lambda sign, coef, sym, power: sign + coef + sym + (power if sym else ""),
+    st.sampled_from(["+", "-"]),
+    st.sampled_from(["", "0", "2*", "3/4", "1/0"]),
+    st.sampled_from(["", "w", "z1", "z4", "z8", "z0", "z361"]),
+    st.sampled_from(["", "^2", "^7"]),
+)
+ray_literals = st.lists(
+    st.lists(signed_terms, min_size=1, max_size=3).map("".join), min_size=3, max_size=3,
+).map(lambda parts: "(" + ",".join(parts) + ")")
+
+
+@settings(deadline=None)
+@given(st.text(max_size=20) | ray_literals)
+def test_parse_ray_gives_a_ray_or_value_error(text):
+    with contextlib.suppress(ValueError):
+        parse_ray(text)
 
 
 def test_str_shows_canonical_form():
