@@ -366,10 +366,10 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         facts = args.func(args)
-    except MissingDataError as exc:
+    except MissingDataError as exc:  # before OSError: it is a FileNotFoundError
         print(f"missing data: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.timing:

@@ -285,54 +285,58 @@ def _basis_permutation_group(inst: KSInstance, elements) -> list[tuple[int, ...]
     })
 
 
-def _win_choice_masks(inst: KSInstance) -> list[list[list[int]]]:
-    """W[i][a][j]: bitmask over Bob's choices b winning every event of (i, j)."""
+def _win_table(inst: KSInstance) -> list[list[int]]:
+    """W[i][a]: bit 3*j+b set iff Bob's answer b on basis j wins against Alice's a on i."""
     adj = inst.graph.adj
-    nb = len(inst.basis_indices)
-    W = [[[0] * nb for _ in range(3)] for _ in range(nb)]
-    for i, ti in enumerate(inst.basis_indices):
-        for a in range(3):
-            va = ti[a]
-            for j, tj in enumerate(inst.basis_indices):
-                mask = 0
-                for b in range(3):
-                    vb = tj[b]
-                    if va != vb and adj[va] >> vb & 1:
-                        continue  # orthogonal distinct rays lose
-                    mask |= 1 << b
-                W[i][a][j] = mask
-    return W
+    return [
+        [sum(1 << (3 * j + b)
+             for j, tj in enumerate(inst.basis_indices)
+             for b, vb in enumerate(tj)
+             if not adj[va] >> vb & 1)  # orthogonal rays lose; adj has no loops
+         for va in ti]
+        for ti in inst.basis_indices
+    ]
 
 
 def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
-    """The distinct bitmasks of Bob bases unanswerable by Alice strategies on X, sorted.
+    """The distinct masks of Bob bases unanswerable by Alice strategies on X, sorted.
 
-    Returns None as soon as some strategy answers every basis (the pair
-    (X, anything) then has a perfect classical strategy).
+    Basis j is bit 3*j, which keeps the order of 1 << j masks; a DFS node
+    is one `&` with a W row.  None as soon as some strategy answers every
+    basis: (X, anything) then has a perfect classical strategy.
     """
+    low = int("001" * nb, 2)  # bit 3*j for every basis j
     bads: set[int] = set()
 
-    def dfs(pos: int, masks: tuple[int, ...]) -> bool:
+    def dfs(pos: int, s: int) -> bool:
         if pos == len(X):
-            bad = 0
-            for j in range(nb):
-                if masks[j] == 0:
-                    bad |= 1 << j
-            if bad == 0:
-                return False
+            bad = ~(s | s >> 1 | s >> 2) & low
             bads.add(bad)
-            return True
-        rows = W[X[pos]]
-        for a in range(3):
-            row = rows[a]
-            new_masks = tuple(m & row[j] for j, m in enumerate(masks))
-            if not dfs(pos + 1, new_masks):
+            return bad != 0
+        for row in W[X[pos]]:
+            if not dfs(pos + 1, s & row):
                 return False
         return True
 
-    if not dfs(0, tuple([7] * nb)):
-        return None
-    return sorted(bads)
+    return sorted(bads) if dfs(0, 7 * low) else None
+
+
+def _canonical_subsets(group, nb: int, size: int) -> list[tuple[int, ...]]:
+    """The lex-least subset in each group orbit of size-subsets of range(nb), in order.
+
+    Subsets come in lex order, so one not marked by an earlier orbit
+    minimum is the least of its own orbit; its images are then marked as
+    bitmasks.  A mark is dropped when its subset is reached.
+    """
+    out = []
+    marked: set[int] = set()
+    for comb in itertools.combinations(range(nb), size):
+        mask = sum(1 << i for i in comb)
+        if mask not in marked:
+            out.append(comb)
+            marked.update(sum(1 << p[i] for i in comb) for p in group)
+        marked.discard(mask)
+    return out
 
 
 def _hits(sets: list[int], k: int) -> bool:
@@ -356,32 +360,22 @@ def minimal_distribution_search(
     """Smallest |X|*|Y| basis split admitting no perfect classical strategy.
 
     Searches products in ascending order over subset pairs of the complete
-    bases, enumerating only the smaller side up to instance symmetry (the
-    win predicate is symmetric in the two parties, so the smaller side can
-    always be taken as Alice's).  For fixed X a refutable Y of size b
-    exists iff some b bases meet every per-strategy unanswerable-basis set,
-    so a small hitting-set decision gates the lex-first scan for Y.
+    bases.  Only the smaller side X is enumerated (the win predicate is
+    symmetric in the two parties), one subset per orbit of the basis
+    group, found by marking orbits in lex order.  For fixed X a refutable
+    Y of size b exists iff some b bases meet every per-strategy
+    unanswerable-basis set, so a small hitting-set decision gates the
+    lex-first scan for Y.
     """
     nb = len(inst.basis_indices)
     if nb == 0:
         return MinimalSplitResult(None, None, None, True, 0)
     group = _basis_permutation_group(inst, automorphisms(inst.graph).elements)
-    W = _win_choice_masks(inst)
+    W = _win_table(inst)
     start = time.monotonic()
     checked = 0
-    # lazily computed per canonical X: bad sets (None = never refutable)
-    bad_cache: dict[tuple[int, ...], list[int] | None] = {}
-
-    def canonical_subsets(size: int) -> list[tuple[int, ...]]:
-        out = []
-        for comb in itertools.combinations(range(nb), size):
-            smallest = min(tuple(sorted(p[i] for i in comb)) for p in group)
-            if smallest == comb:
-                out.append(comb)
-        return out
-
+    bad_cache: dict[tuple[int, ...], list[int] | None] = {}  # None: never refutable
     canon_by_size: dict[int, list[tuple[int, ...]]] = {}
-
     for product in range(1, nb * nb + 1):
         for a in range(1, nb + 1):
             if product % a:
@@ -390,7 +384,7 @@ def minimal_distribution_search(
             if a > b or b > nb:
                 continue
             if a not in canon_by_size:
-                canon_by_size[a] = canonical_subsets(a)
+                canon_by_size[a] = _canonical_subsets(group, nb, a)
             for X in canon_by_size[a]:
                 if budget_seconds is not None and (
                     time.monotonic() - start > budget_seconds
@@ -403,9 +397,7 @@ def minimal_distribution_search(
                 if bads is None or not _hits(bads, b):
                     continue
                 for Y in itertools.combinations(range(nb), b):
-                    y_mask = 0
-                    for j in Y:
-                        y_mask |= 1 << j
+                    y_mask = sum(1 << 3 * j for j in Y)
                     if all(s & y_mask for s in bads):
                         return MinimalSplitResult(product, X, Y, True, checked)
     return MinimalSplitResult(None, None, None, True, checked)

@@ -5,7 +5,8 @@ branch and bound, basis-branching propagation search, exclusivity-graph
 independence, the symmetry-reduced split search, the automorphism
 backtracking): a memoized include/exclude recursion for independent sets,
 raw power-set scans for colorings, a plain DPLL that sees nothing but CNF
-clauses, a plain Alice-strategy scan for refutable basis splits, and a
+clauses, plain Alice-strategy scans for refutable basis splits and their
+unanswerable Bob bases, a sort-every-image rule for orbit minima, and a
 permutation scan, a product closure and a union-find for automorphism
 groups.
 """
@@ -144,6 +145,16 @@ def automorphisms_bruteforce(adj: list[int]) -> list[tuple[int, ...]]:
     ]
 
 
+def canonical_subsets_reference(group, nb: int, size: int) -> list[tuple[int, ...]]:
+    """Size-subsets of range(nb) that are the least sorted image of themselves."""
+    out = []
+    for comb in combinations(range(nb), size):
+        smallest = min(tuple(sorted(p[i] for i in comb)) for p in group)
+        if smallest == comb:
+            out.append(comb)
+    return out
+
+
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
@@ -276,3 +287,25 @@ def pair_is_refutable(inst, x_indices, y_indices) -> bool:
         if all(any(all(win(u, v) for u in outs) for v in ty) for ty in ys):
             return False
     return True
+
+
+def bad_sets_bruteforce(inst, x_indices) -> set[frozenset[int]] | None:
+    """The Bob-basis index sets that some Alice strategy on X leaves unanswerable.
+
+    A Bob basis is answerable when one of its rays wins against every
+    Alice output, read from the graph's adjacency bitmasks.  None when
+    some strategy answers every basis.
+    """
+    adj = inst.graph.adj
+    xs = [inst.basis_indices[i] for i in x_indices]
+    out = set()
+    for alice in product(range(3), repeat=len(xs)):
+        outs = [triple[a] for triple, a in zip(xs, alice)]
+        bad = frozenset(
+            j for j, ty in enumerate(inst.basis_indices)
+            if not any(all(u == v or not adj[u] >> v & 1 for u in outs) for v in ty)
+        )
+        if not bad:
+            return None
+        out.add(bad)
+    return out

@@ -2,12 +2,11 @@
 
 Each test prints one PASS line so a `pytest -s tests/test_acceptance.py`
 run reads as a checklist.  Everything is exact except the Majorana sphere
-coordinates, whose tolerances are stated inline.  The legacy-set rows run
-only when their data files are present; the Peres-33 minimal-split search
-is an extended run, enabled with KSVERIFY_EXTENDED=1.
+coordinates, whose tolerances are stated inline.  The legacy-set rows,
+including the Peres-33 7-9 and Conway-Kochen-31 8-9 minimal splits, run
+only when their data files are present.
 """
 
-import os
 import time
 from fractions import Fraction
 
@@ -41,6 +40,7 @@ from oracles import (
     best_strategy_pairs,
     dpll_satisfiable,
     ks_assignments_powerset,
+    pair_is_refutable,
     parse_dimacs_cnf,
     random_graph,
 )
@@ -156,18 +156,19 @@ def test_criterion_07_minimality(new33):
     ok(f"criterion 7: minimal refutable split 5-9 (product 45) in {elapsed:.1f}s")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("KSVERIFY_EXTENDED"),
-    reason="extended run; set KSVERIFY_EXTENDED=1",
-)
-def test_criterion_07_extended_peres_split():
+@pytest.mark.parametrize("name, split", [("peres33", "7-9"), ("conway31", "8-9")])
+def test_criterion_07_legacy_split(name, split):
     try:
-        inst = builtin("peres33")
+        inst = builtin(name)
     except FileNotFoundError:
-        pytest.skip("peres33 data file not present")
+        pytest.skip(f"{name} data file not present")
     result = minimal_distribution_search(inst, budget_seconds=3600.0)
-    assert result.complete and result.split() == "7-9"
-    ok("criterion 7 (extended): peres33 minimal split 7-9")
+    assert result.complete and result.split() == split
+    X, Y = list(result.alice_bases), list(result.bob_bases)
+    assert pair_is_refutable(inst, X, Y)
+    for drop in range(len(Y)):
+        assert not pair_is_refutable(inst, X, Y[:drop] + Y[drop + 1:])
+    ok(f"criterion 7 (legacy): {name} minimal split {split}, refuted by brute force")
 
 
 def test_criterion_08_generation(new33):

@@ -266,11 +266,17 @@ BAD_FILES = {
     ["game", "new33", "--alice", "99", "--bob", "1"],
     ["game", "new33", "--alice", "0"],
     ["game", "conway31"],
+    ["verify", "."],
+    ["majorana", "new33", "--out", "nodir/x.csv"],
+    ["verify", "new33", "--export-cnf", "nodir/x.cnf"],
+    ["game", "new33", "--export-graph", "nodir/g.txt"],
 ], ids=" ".join)
 def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in BAD_FILES else a for a in argv]
+    # "." is the temporary directory itself; nodir/ does not exist in it
+    argv = [str(tmp_path / a) if a in BAD_FILES or a == "." or a.startswith("nodir/")
+            else a for a in argv]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_USAGE

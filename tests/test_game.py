@@ -1,6 +1,7 @@
 """Game construction, exact values, exports, minimality search."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,11 @@ from hypothesis import given, strategies as st
 from ksverify.catalog import builtin
 from ksverify.cyclotomic import omega
 from ksverify.game import (
+    _bad_sets_for,
+    _basis_permutation_group,
+    _canonical_subsets,
     _hits,
+    _win_table,
     build_game,
     classical_value,
     classical_value_twolevel,
@@ -21,10 +26,16 @@ from ksverify.game import (
     quantum_value_maxent,
     winning_events,
 )
-from ksverify.orthograph import max_independent_set
+from ksverify.orthograph import automorphisms, max_independent_set
 from ksverify.rays import Basis, Ray
 
-from oracles import best_strategy_pairs, pair_is_refutable, parse_dimacs_edges
+from oracles import (
+    bad_sets_bruteforce,
+    best_strategy_pairs,
+    canonical_subsets_reference,
+    pair_is_refutable,
+    parse_dimacs_edges,
+)
 
 W = omega()
 
@@ -237,3 +248,40 @@ def test_hits_matches_combination_scan(family):
     scan = any(all(s & sum(1 << j for j in Y) for s in sets)
                for Y in itertools.combinations(range(nb), k))
     assert _hits(sets, k) == scan
+
+
+# Alice's side of each set's minimal split, an X with bad sets (not None)
+SPLIT_ALICE = {
+    "new33": (0, 10, 11, 12, 13),
+    "peres33": (0, 8, 9, 12, 13, 14, 15),
+    "conway31": (1, 2, 3, 4, 5, 6, 9, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
+def test_bad_sets_match_strategy_scan(name):
+    inst = builtin(name)
+    nb = len(inst.basis_indices)
+    table = _win_table(inst)
+    rng = random.Random(name)
+    xs = [X for size in (1, 2, 3) for X in itertools.combinations(range(nb), size)]
+    xs += [tuple(sorted(rng.sample(range(nb), rng.randint(4, 6)))) for _ in range(30)]
+    assert bad_sets_bruteforce(inst, SPLIT_ALICE[name]) is not None
+    for X in xs + [SPLIT_ALICE[name]]:
+        bads = _bad_sets_for(X, table, nb)
+        expected = bad_sets_bruteforce(inst, X)
+        if expected is None:
+            assert bads is None, X
+            continue
+        assert bads == sorted(bads) and len(set(bads)) == len(bads), X
+        assert {frozenset(j for j in range(nb) if m >> 3 * j & 1) for m in bads} == expected, X
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
+def test_canonical_subsets_match_sorted_image_rule(name):
+    inst = builtin(name)
+    nb = len(inst.basis_indices)
+    group = _basis_permutation_group(inst, automorphisms(inst.graph).elements)
+    for size in range(nb + 1):
+        assert _canonical_subsets(group, nb, size) == canonical_subsets_reference(
+            group, nb, size), size
