@@ -149,8 +149,10 @@ def load_set(path) -> KSInstance:
     conductor = doc.get("conductor", 1)
     declared = doc.get("declared_bases", [])
     notes = doc.get("notes", [])
+    provenance = doc.get("provenance", "")
     for field, value, ok, kind in (
         ("name", name, isinstance(name, str), "a string"),
+        ("provenance", provenance, isinstance(provenance, str), "a string"),
         ("conductor", conductor, type(conductor) is int, "an integer"),
         ("declared_bases", declared, isinstance(declared, list), "a list"),
         ("notes", notes, isinstance(notes, list)
@@ -169,13 +171,18 @@ def load_set(path) -> KSInstance:
     for i, spec in enumerate(ray_specs):
         if not isinstance(spec, list) or len(spec) != 3:
             raise InvalidSetError(f"{path}: ray {i} {spec!r} does not have 3 components")
+        if not all(isinstance(comp, list) and all(
+                isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
+                for t in comp) for comp in spec):
+            raise InvalidSetError(f"{path}: ray {i} {spec!r}: a component is not "
+                                  f"a list of triples of three integers")
         try:
             rays.append(Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec)))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InvalidSetError(f"{path}: ray {i} {spec!r}: {exc}") from None
     notes = list(notes)
-    if doc.get("provenance"):
-        notes.insert(0, f"provenance: {doc['provenance']}")
+    if provenance:
+        notes.insert(0, f"provenance: {provenance}")
     problems = []
     seen: dict[Ray, int] = {}
     for i, ray in enumerate(rays):

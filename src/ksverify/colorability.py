@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .orthograph import build_graph, complete_bases
-from .rays import Ray
+from .rays import Basis, Ray
 
 
 class KSInstance:
@@ -24,11 +24,8 @@ class KSInstance:
 
     def __init__(self, name: str, rays, notes=()) -> None:
         graph = build_graph(rays)
-        bases = complete_bases(graph)
-        index = {ray: i for i, ray in enumerate(graph.vertices)}
-        basis_indices = tuple(
-            tuple(index[r] for r in basis) for basis in bases
-        )
+        basis_indices = tuple(complete_bases(graph))
+        bases = [Basis(graph.vertices[i] for i in triple) for triple in basis_indices]
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "bases", bases)

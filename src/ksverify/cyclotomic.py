@@ -4,9 +4,9 @@ A value is a Q-linear combination of powers of the primitive n-th root of
 unity zeta_n, stored as a tuple of Fractions on the power basis
 1, zeta, ..., zeta^(phi(n)-1) after reduction modulo the n-th cyclotomic
 polynomial.  That representation is unique, so equality and hashing are
-structural.  Conductors congruent to 2 mod 4 are rewritten into the odd
-half (Q(zeta_2m) = Q(zeta_m) for odd m), and equality across conductors
-goes through the minimal conductor of the value, computed lazily.
+structural.  A value keeps its conductor, 2 mod 4 included; `minimal_form`
+gives the canonical odd-half form (Q(zeta_2m) = Q(zeta_m) for odd m), and
+equality across conductors goes through it, computed lazily.
 
 No floating point is used anywhere except the explicit `evaluate` helper,
 which exists for numeric cross-checks and plotting.
@@ -64,14 +64,14 @@ def _phi(n: int) -> int:
 
 @functools.cache
 def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_n^j reduced modulo Phi_n, for j = 0 .. max(n, 2*phi(n)) - 1."""
+    """zeta_n^j reduced modulo Phi_n: n rows, j = 0 .. n - 1."""
     phi = _phi(n)
     cyclo = cyclotomic_polynomial(n)
     top = [Fraction(-c) for c in cyclo[:phi]]  # zeta^phi in lower powers
     table = []
     current = [Fraction(0)] * phi
     current[0] = Fraction(1)
-    for _ in range(max(n, 2 * phi)):
+    for _ in range(n):
         table.append(tuple(current))
         lead = current[phi - 1]
         shifted = [Fraction(0)] + current[: phi - 1]
@@ -162,21 +162,6 @@ class Cyc:
     def __init__(self, n: int, coeffs) -> None:
         check_conductor(n)
         coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if n % 4 == 2:
-            # zeta_2m = -zeta_m^((1-m)//2 mod m) for odd m
-            m = n // 2
-            k = ((1 - m) // 2) % m
-            table = _power_table(m)
-            phi = _phi(m)
-            out = [Fraction(0)] * phi
-            reduced = _reduce(n, coeffs) if len(coeffs) > _phi(n) else coeffs
-            for j, c in enumerate(reduced):
-                if c:
-                    row = table[(j * k) % m]
-                    sign = -1 if j % 2 else 1
-                    for i in range(phi):
-                        out[i] += sign * c * row[i]
-            n, coeffs = m, out
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", _reduce(n, coeffs))
         object.__setattr__(self, "_minimal", None)
@@ -222,13 +207,15 @@ class Cyc:
         bc = b if b.n == m else b._embed(m)
         return m, ac.coeffs, bc.coeffs
 
-    def _embed(self, m: int) -> "Cyc":
-        # direct power substitution without minimal-form detour
-        step = m // self.n
+    def _power_map(self, m: int, k: int) -> "Cyc":
+        """zeta_n^j -> zeta_m^(k*j); both callers keep k*j distinct mod m."""
         out = [Fraction(0)] * check_conductor(m)
         for j, c in enumerate(self.coeffs):
-            out[(step * j) % m] = c
+            out[(k * j) % m] = c
         return Cyc(m, out)
+
+    def _embed(self, m: int) -> "Cyc":
+        return self._power_map(m, m // self.n)
 
     # -- ring operations -----------------------------------------------------
 
@@ -320,17 +307,8 @@ class Cyc:
         return Cyc._as_cyc(other) * self.inverse()
 
     def conj(self) -> "Cyc":
-        """Complex conjugation: zeta_n -> zeta_n^(n-1), extended linearly."""
-        n = self.n
-        table = _power_table(n)
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(n - j) % n]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyc(n, out)
+        """Complex conjugation: zeta_n -> zeta_n^(-1), extended linearly."""
+        return self._power_map(self.n, -1)
 
     # -- predicates and canonical data ----------------------------------------
 

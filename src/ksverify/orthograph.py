@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rays import Basis, Ray, is_orthogonal
+from .rays import Ray, is_orthogonal
 
 
 class OrthoGraph:
@@ -67,8 +67,8 @@ def build_graph(rays) -> OrthoGraph:
     return OrthoGraph(rays)
 
 
-def complete_bases(g: OrthoGraph) -> list[Basis]:
-    """All triangles of the graph, as orthogonal bases, in index order."""
+def complete_bases(g: OrthoGraph) -> list[tuple[int, int, int]]:
+    """All triangles (i, j, k), i < j < k, of the graph, in index order."""
     out = []
     for i in range(g.n):
         above_i = g.adj[i] >> (i + 1) << (i + 1)
@@ -81,7 +81,7 @@ def complete_bases(g: OrthoGraph) -> list[Basis]:
             k = j + 1
             while common:
                 if common & 1:
-                    out.append(Basis((g.vertices[i], g.vertices[j], g.vertices[k])))
+                    out.append((i, j, k))
                 common >>= 1
                 k += 1
     return out

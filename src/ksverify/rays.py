@@ -136,41 +136,21 @@ def validate_basis(rays) -> list[BasisViolation]:
     return violations
 
 
-class Basis:
-    """An ordered triple of pairwise orthogonal rays."""
+class Basis(tuple):
+    """An ordered triple of pairwise orthogonal rays, checked on creation."""
 
-    __slots__ = ("rays",)
+    __slots__ = ()
 
-    def __init__(self, rays) -> None:
+    def __new__(cls, rays):
         rays = tuple(rays)
         violations = validate_basis(rays)
         if violations:
             detail = "; ".join(str(v) for v in violations)
             raise ValueError(f"not an orthogonal basis: {detail}")
-        object.__setattr__(self, "rays", rays)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Basis values are immutable")
-
-    def __iter__(self):
-        return iter(self.rays)
-
-    def __len__(self) -> int:
-        return 3
-
-    def __getitem__(self, i):
-        return self.rays[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, Basis):
-            return NotImplemented
-        return frozenset(self.rays) == frozenset(other.rays)
-
-    def __hash__(self):
-        return hash(frozenset(self.rays))
+        return super().__new__(cls, rays)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(r) for r in self.rays) + "}"
+        return "{" + ", ".join(str(r) for r in self) + "}"
 
     def __repr__(self) -> str:
         return f"Basis{self}"

@@ -239,6 +239,11 @@ BAD_FILES = {
     "notesstr.json": set_file(notes="ab"),
     "condfloat.json": set_file(conductor=1.5),
     "namelist.json": set_file(name=["bad"]),
+    "tripbool.json": set_file(rays=[[[[True, 1, 1]], [], []]]),
+    "tripbool2.json": set_file(rays=[[[[0, True, 1]], [], []]]),
+    "tripshort.json": set_file(rays=[[[[0, 1]], [], []]]),
+    "provint.json": set_file(provenance=5),
+    "provlist.json": set_file(provenance=["a"]),
 }
 
 
@@ -258,6 +263,11 @@ BAD_FILES = {
     ["verify", "notesstr.json"],
     ["verify", "condfloat.json"],
     ["verify", "namelist.json"],
+    ["verify", "tripbool.json"],
+    ["verify", "tripbool2.json"],
+    ["verify", "tripshort.json"],
+    ["verify", "provint.json"],
+    ["verify", "provlist.json"],
     ["sic", "--seed", "(1,z361,0)"],
     ["sic", "--seed", "(1,1/0,0)"],
     ["sic", "--seed", "(1,1)"],

@@ -1,5 +1,7 @@
 """Orthogonality graphs: bases, independence number, automorphisms."""
 
+import itertools
+
 import pytest
 
 from ksverify.catalog import builtin
@@ -66,18 +68,32 @@ def test_new33_counts():
     assert triangles_direct(inst.graph.vertices) == 14
 
 
+@pytest.mark.parametrize("name,count", [("new33", 14), ("peres33", 16), ("conway31", 17)])
+def test_complete_bases_are_the_adjacency_triangles(name, count):
+    inst = builtin(name)
+    g = inst.graph
+    triangles = [
+        (i, j, k) for i, j, k in itertools.combinations(range(g.n), 3)
+        if g.adj[i] >> j & 1 and g.adj[i] >> k & 1 and g.adj[j] >> k & 1
+    ]
+    assert len(triangles) == count
+    assert complete_bases(g) == triangles
+    for b, triple in enumerate(inst.basis_indices):
+        assert inst.bases[b] == tuple(g.vertices[i] for i in triple)
+
+
 def test_every_basis_validates():
     for name in ("new33", "yuoh13"):
         inst = builtin(name)
         for basis in inst.bases:
-            assert validate_basis(basis.rays) == []
+            assert validate_basis(basis) == []
     for name in ("peres33", "conway31", "schuette33", "penrose33"):
         try:
             inst = builtin(name)
         except FileNotFoundError:
             continue
         for basis in inst.bases:
-            assert validate_basis(basis.rays) == []
+            assert validate_basis(basis) == []
 
 
 def test_independence_small_graphs():
