@@ -4,9 +4,9 @@ A value is a Q-linear combination of powers of the primitive n-th root of
 unity zeta_n, stored as a tuple of Fractions on the power basis
 1, zeta, ..., zeta^(phi(n)-1) after reduction modulo the n-th cyclotomic
 polynomial.  That representation is unique, so equality and hashing are
-structural.  A value keeps its conductor, 2 mod 4 included; `minimal_form`
-gives the canonical odd-half form (Q(zeta_2m) = Q(zeta_m) for odd m), and
-equality across conductors goes through it, computed lazily.
+structural.  A value keeps the conductor it is built at, but `from_triples`
+(all parsed and set-file input) reads conductor 2m, m odd, at m; equality
+across conductors goes through the lazily computed `minimal_form`.
 
 No floating point is used anywhere except the explicit `evaluate` helper,
 which exists for numeric cross-checks and plotting.
@@ -380,10 +380,12 @@ class Cyc:
 
     @staticmethod
     def from_triples(n: int, triples) -> "Cyc":
-        coeffs = [Fraction(0)] * check_conductor(n)
+        # n = 2m, m odd, is read at m: zeta_2m^p = (-1)^p * zeta_m^(p * (n // 4 + 1))
+        m, k, s = (n // 2, n // 4 + 1, -1) if check_conductor(n) % 4 == 2 else (n, 1, 1)
+        coeffs = [Fraction(0)] * m
         for power, num, den in triples:
-            coeffs[power % n] += Fraction(num, den)
-        return Cyc(n, coeffs)
+            coeffs[power * k % m] += Fraction(s ** (power % 2) * num, den)
+        return Cyc(m, coeffs)
 
     def evaluate(self) -> complex:
         """Floating-point value at zeta_n = exp(2*pi*i/n)."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ksverify.catalog import builtin, serialize
 from ksverify.cli import (
     EXIT_INCOMPLETE,
     EXIT_MISMATCH,
@@ -120,6 +121,23 @@ def test_majorana(tmp_path, capsys):
     code, out = run(capsys, "majorana", "new33", "--out", str(out_csv))
     assert code == EXIT_OK
     assert "66 sphere points" in out
+
+
+def test_majorana_reads_conductor_2_mod_4_at_the_odd_half(tmp_path, capsys):
+    doc = serialize(builtin("new33"))
+    assert doc["conductor"] == 3
+    # the same rays at conductor 6: w^p = zeta_6^(2p) and -1 = zeta_6^3
+    doc6 = dict(doc, conductor=6, rays=[
+        [[[2 * p + 3, -num, den] for p, num, den in comp] for comp in ray]
+        for ray in doc["rays"]])
+    csvs = []
+    for name, d in (("c3", doc), ("c6", doc6)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+        out_csv = tmp_path / f"{name}.csv"
+        code, _ = run(capsys, "majorana", str(tmp_path / f"{name}.json"), "--out", str(out_csv))
+        assert code == EXIT_OK
+        csvs.append(out_csv.read_text())
+    assert csvs[0] == csvs[1]
 
 
 def test_table1(capsys):

@@ -70,9 +70,20 @@ def test_even_conductor_normalizes_to_odd_half():
     assert zeta6 == -(W**2)
     assert zeta6.minimal_form()[0] == 3
     assert Cyc.root_of_unity(2, 1) == -1
-    # the value keeps its conductor; minimal_form gives the odd-half form
-    assert zeta6.n == 6 and Cyc.root_of_unity(2, 1).n == 2
-    assert str(zeta6) == "-w^2" and hash(zeta6) == hash(-(W**2))
+    # a value built at 2m keeps it; minimal_form gives the odd-half form
+    built = Cyc(6, [0, 1])
+    assert built.n == 6 and built == zeta6
+    assert str(built) == "-w^2" and hash(built) == hash(-(W**2))
+    # input triples at 2m are read at m
+    for n in (2, 6, 10, 14, 30, 90):
+        for p in range(-2, n + 2):
+            z = Cyc.root_of_unity(n, p)
+            assert z.n == n // 2
+            assert abs(z.evaluate() - cmath.exp(2j * cmath.pi * p / n)) < 1e-9
+    # so mixing with an odd conductor stays below MAX_CONDUCTOR: lcm(7, 27) = 189
+    z = Cyc.root_of_unity(14) * Cyc.root_of_unity(27)
+    assert z.n == 189
+    assert abs(z.evaluate() - cmath.exp(2j * cmath.pi * 41 / 378)) < 1e-9
 
 
 def test_conductor_bound():
@@ -181,7 +192,7 @@ def test_conjugation_matches_numeric_evaluation(a):
 def test_coercion_roundtrip(a, factor):
     n = a.minimal_form()[0]
     m = n * factor
-    up = Cyc(*a.minimal_form()) + Cyc.from_triples(m, [])
+    up = Cyc(*a.minimal_form()) + Cyc(m, [])
     assert up.n == m
     assert up == a
     assert up.minimal_form() == a.minimal_form()
