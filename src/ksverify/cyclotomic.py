@@ -388,11 +388,16 @@ class Cyc:
         return Cyc(m, coeffs)
 
     def evaluate(self) -> complex:
-        """Floating-point value at zeta_n = exp(2*pi*i/n)."""
+        """Floating-point value at zeta_d = exp(2*pi*i/d), d the minimal conductor.
+
+        The minimal form depends on the value alone, so equal values give
+        equal floats whatever conductor they are stored at.
+        """
         import cmath
 
-        zeta = cmath.exp(2j * cmath.pi / self.n)
-        return sum(float(c) * zeta**j for j, c in enumerate(self.coeffs))
+        d, coeffs = self.minimal_form()
+        zeta = cmath.exp(2j * cmath.pi / d)
+        return sum(float(c) * zeta**j for j, c in enumerate(coeffs))
 
     # -- display ---------------------------------------------------------------
 

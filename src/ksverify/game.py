@@ -302,23 +302,39 @@ def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
     """The distinct masks of Bob bases unanswerable by Alice strategies on X, sorted.
 
     Basis j is bit 3*j, which keeps the order of 1 << j masks; a DFS node
-    is one `&` with a W row.  None as soon as some strategy answers every
-    basis: (X, anything) then has a perfect classical strategy.
+    is one `&` with a W row.  None when some strategy answers every basis:
+    (X, anything) then has a perfect classical strategy.  A first DFS
+    decides that and drops a node once some basis has no winning answer
+    left, since `&` only clears bits and every leaf below is then bad;
+    only when it fails does a second DFS collect every leaf's bad set.
     """
     low = int("001" * nb, 2)  # bit 3*j for every basis j
+    rows = [W[x] for x in X]
+    depth = len(rows)
+
+    def perfect(pos: int, s: int) -> bool:
+        if ~(s | s >> 1 | s >> 2) & low:
+            return False
+        if pos == depth:
+            return True
+        for row in rows[pos]:
+            if perfect(pos + 1, s & row):
+                return True
+        return False
+
+    if perfect(0, 7 * low):
+        return None
     bads: set[int] = set()
 
-    def dfs(pos: int, s: int) -> bool:
-        if pos == len(X):
-            bad = ~(s | s >> 1 | s >> 2) & low
-            bads.add(bad)
-            return bad != 0
-        for row in W[X[pos]]:
-            if not dfs(pos + 1, s & row):
-                return False
-        return True
+    def collect(pos: int, s: int) -> None:
+        if pos == depth:
+            bads.add(~(s | s >> 1 | s >> 2) & low)
+            return
+        for row in rows[pos]:
+            collect(pos + 1, s & row)
 
-    return sorted(bads) if dfs(0, 7 * low) else None
+    collect(0, 7 * low)
+    return sorted(bads)
 
 
 def _canonical_subsets(group, nb: int, size: int) -> list[tuple[int, ...]]:

@@ -126,18 +126,26 @@ def test_majorana(tmp_path, capsys):
 def test_majorana_reads_conductor_2_mod_4_at_the_odd_half(tmp_path, capsys):
     doc = serialize(builtin("new33"))
     assert doc["conductor"] == 3
+    docs = {"c3": doc}
     # the same rays at conductor 6: w^p = zeta_6^(2p) and -1 = zeta_6^3
-    doc6 = dict(doc, conductor=6, rays=[
+    docs["c6"] = dict(doc, conductor=6, rays=[
         [[[2 * p + 3, -num, den] for p, num, den in comp] for comp in ray]
         for ray in doc["rays"]])
-    csvs = []
-    for name, d in (("c3", doc), ("c6", doc6)):
+    # and at 9 and 18 (read at 9): w^p = zeta_n^(n/3 * p); components are
+    # evaluated at their minimal conductor, so the CSV is that of conductor 3
+    for n in (9, 18):
+        docs[f"c{n}"] = dict(doc, conductor=n, rays=[
+            [[[n // 3 * p, num, den] for p, num, den in comp] for comp in ray]
+            for ray in doc["rays"]])
+    csvs = {}
+    for name, d in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(d))
         out_csv = tmp_path / f"{name}.csv"
         code, _ = run(capsys, "majorana", str(tmp_path / f"{name}.json"), "--out", str(out_csv))
         assert code == EXIT_OK
-        csvs.append(out_csv.read_text())
-    assert csvs[0] == csvs[1]
+        csvs[name] = out_csv.read_text()
+    for name in docs:
+        assert csvs[name] == csvs["c3"], name
 
 
 def test_table1(capsys):

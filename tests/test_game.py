@@ -1,11 +1,13 @@
 """Game construction, exact values, exports, minimality search."""
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ksverify.catalog import builtin
 from ksverify.cyclotomic import omega
@@ -258,6 +260,15 @@ SPLIT_ALICE = {
 }
 
 
+# every canonical X of the conway31 search with no perfect Alice strategy
+CONWAY31_UNWINNABLE = [
+    (1, 2, 3, 4, 5, 6, 9, 10),
+    (2, 4, 5, 7, 9, 11, 14, 15),
+    (2, 4, 5, 9, 11, 13, 14, 15),
+    (2, 4, 8, 9, 11, 13, 14, 15),
+]
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
 def test_bad_sets_match_strategy_scan(name):
     inst = builtin(name)
@@ -266,15 +277,50 @@ def test_bad_sets_match_strategy_scan(name):
     rng = random.Random(name)
     xs = [X for size in (1, 2, 3) for X in itertools.combinations(range(nb), size)]
     xs += [tuple(sorted(rng.sample(range(nb), rng.randint(4, 6)))) for _ in range(30)]
+    # sizes 7-9, where the perfect-strategy pass drops the most subtrees
+    xs += [tuple(sorted(rng.sample(range(nb), rng.randint(7, 9)))) for _ in range(20)]
+    if name == "conway31":
+        xs += CONWAY31_UNWINNABLE
     assert bad_sets_bruteforce(inst, SPLIT_ALICE[name]) is not None
     for X in xs + [SPLIT_ALICE[name]]:
         bads = _bad_sets_for(X, table, nb)
         expected = bad_sets_bruteforce(inst, X)
         if expected is None:
-            assert bads is None, X
+            assert bads is None and X not in CONWAY31_UNWINNABLE, X
             continue
         assert bads == sorted(bads) and len(set(bads)) == len(bads), X
         assert {frozenset(j for j in range(nb) if m >> 3 * j & 1) for m in bads} == expected, X
+
+
+@st.composite
+def win_tables(draw):
+    """Random W rows over nb <= 6 bases; up to 5 Alice bases with 3 answers each.
+
+    An answer loses on the bits of k random masks combined by `&` (sparse,
+    each bit lost with probability 1/2**k) or by `|` (dense, 1 - 1/2**k).
+    """
+    nb = draw(st.integers(1, 6))
+    full = (1 << 3 * nb) - 1
+    k = draw(st.integers(1, 3))
+    combine = draw(st.sampled_from([operator.and_, operator.or_]))
+    answer = st.builds(
+        lambda kills: full & ~functools.reduce(combine, kills),
+        st.lists(st.integers(0, full), min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(answer, min_size=3, max_size=3), min_size=1, max_size=5))
+    return nb, rows
+
+
+@given(win_tables())
+@example((1, [[0b100, 0, 0]]))  # only Bob's answer 2 wins: a perfect strategy
+def test_bad_sets_match_leaf_scan_on_synthetic_tables(table):
+    nb, rows = table
+    low = int("001" * nb, 2)
+    leaves = set()
+    for choice in itertools.product(*rows):
+        s = functools.reduce(operator.and_, choice, 7 * low)
+        leaves.add(~(s | s >> 1 | s >> 2) & low)
+    expected = None if 0 in leaves else sorted(leaves)
+    assert _bad_sets_for(tuple(range(len(rows))), rows, nb) == expected
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
