@@ -1,12 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 A value is a Q-linear combination of powers of the primitive n-th root of
-unity zeta_n, stored as a tuple of Fractions on the power basis
-1, zeta, ..., zeta^(phi(n)-1) after reduction modulo the n-th cyclotomic
-polynomial.  That representation is unique, so equality and hashing are
-structural.  A value keeps the conductor it is built at, but `from_triples`
-(all parsed and set-file input) reads conductor 2m, m odd, at m; equality
-across conductors goes through the lazily computed `minimal_form`.
+unity zeta_n, stored as integer numerators on the power basis
+1, zeta, ..., zeta^(phi(n)-1) over one positive denominator, in lowest
+terms, after reduction modulo the n-th cyclotomic polynomial.  Phi_n is
+monic, so reduction, sums, products and conjugation stay in integers.  That
+representation is unique, so equality at one conductor is structural.  A
+value keeps the conductor it is built at, but `from_triples` (all parsed and
+set-file input) reads conductor 2m, m odd, at m; equality across conductors
+and hashing go through the lazily computed `minimal_form`, whose
+coefficients are Fractions.
 
 No floating point is used anywhere except the explicit `evaluate` helper,
 which exists for numeric cross-checks and plotting.
@@ -16,10 +19,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 
-def _divisors(n: int) -> list[int]:
+@functools.cache
+def _divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -28,7 +33,7 @@ def _divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
@@ -58,88 +63,92 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@functools.cache
 def _phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
 @functools.cache
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_n^j reduced modulo Phi_n: n rows, j = 0 .. n - 1."""
+def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_n^j reduced modulo Phi_n, for j = 0 .. n - 1.
+
+    Row j lists the (i, c) with c != 0 the coefficient of zeta^i.  Phi_n is
+    monic, so every c is an integer.
+    """
     phi = _phi(n)
-    cyclo = cyclotomic_polynomial(n)
-    top = [Fraction(-c) for c in cyclo[:phi]]  # zeta^phi in lower powers
+    top = [-c for c in cyclotomic_polynomial(n)[:phi]]  # zeta^phi in lower powers
     table = []
-    current = [Fraction(0)] * phi
-    current[0] = Fraction(1)
+    current = [1] + [0] * (phi - 1)
     for _ in range(n):
-        table.append(tuple(current))
-        lead = current[phi - 1]
-        shifted = [Fraction(0)] + current[: phi - 1]
-        if lead:
-            current = [shifted[i] + lead * top[i] for i in range(phi)]
-        else:
-            current = shifted
+        table.append(tuple((i, c) for i, c in enumerate(current) if c))
+        lead = current[-1]
+        current = [s + lead * t for s, t in zip([0] + current[:-1], top)]
     return tuple(table)
 
 
-def _reduce(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list on powers of zeta_n modulo Phi_n."""
+def _reduce(n: int, coeffs: list[int]) -> list[int]:
+    """Reduce integer coefficients on powers of zeta_n modulo Phi_n."""
     phi = _phi(n)
+    if len(coeffs) <= phi:
+        return coeffs + [0] * (phi - len(coeffs))
     table = _power_table(n)
-    out = list(coeffs[:phi]) + [Fraction(0)] * (phi - min(phi, len(coeffs)))
+    out = coeffs[:phi]
     for j in range(phi, len(coeffs)):
         c = coeffs[j]
         if c:
-            row = table[j % n]  # zeta^n = 1
-            for i in range(phi):
-                out[i] += c * row[i]
-    return tuple(out)
+            for i, t in table[j % n]:  # zeta^n = 1
+                out[i] += c * t
+    return out
+
+
+def _integral(coeffs: list, den) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator for int/Fraction input."""
+    if not isinstance(den, int):
+        raise TypeError(f"denominator {den!r} is not an integer")
+    if not den:
+        raise ZeroDivisionError("cyclotomic number with denominator 0")
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot interpret {c!r} as an exact rational coefficient")
+    scale = lcm(*(c.denominator for c in coeffs))
+    sign = 1 if den > 0 else -1
+    num = [sign * c.numerator * (scale // c.denominator) for c in coeffs]
+    return num, abs(den) * scale
 
 
 @functools.cache
-def _subfield_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns: zeta_d^j (j < phi(d)) embedded into the conductor-n basis."""
-    step = n // d
+def _subfield_solver(n: int, d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(P, pden) for the subfield Q(zeta_d) of Q(zeta_n).
+
+    If conductor-n coefficients t give a value in Q(zeta_d), its conductor-d
+    coefficients are P t / pden.  P is the first phi(d) rows of the
+    row-operation matrix that brings the subfield basis
+    zeta_d^j = zeta_n^(j n/d), j < phi(d), to the unit columns (that basis
+    has full column rank), scaled to integers.
+    """
     table = _power_table(n)
-    return tuple(table[step * j] for j in range(_phi(d)))
-
-
-def _solve_in_subfield(
-    n: int, d: int, target: tuple[Fraction, ...]
-) -> tuple[Fraction, ...] | None:
-    """Express `target` (conductor-n coeffs) over the conductor-d basis, if possible."""
-    cols = _subfield_basis(n, d)
-    rows, k = _phi(n), _phi(d)
-    # Gaussian elimination on the augmented system [cols | target].
-    aug = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(rows)]
-    piv_cols: list[int] = []
-    r = 0
+    phi, k, step = _phi(n), _phi(d), n // d
+    rows = [[Fraction(0)] * k + [Fraction(int(i == r)) for r in range(phi)]
+            for i in range(phi)]
+    for j in range(k):
+        for i, c in table[step * j]:
+            rows[i][j] = Fraction(c)
     for c in range(k):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][k]:
-            return None  # inconsistent: target not in the subfield
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][k]
-    return tuple(sol)
+        pivot = next(i for i in range(c, phi) if rows[i][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(phi):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    pden = lcm(*(x.denominator for row in rows[:k] for x in row[k:]))
+    return tuple(tuple(int(x * pden) for x in row[k:]) for row in rows[:k]), pden
 
 
 # The largest conductor the tests build, lcm(5, 8, 9).  Tables for conductor
-# n hold O(n * phi(n)) Fractions, so an untrusted n is checked before them.
+# n hold O(n * phi(n)) integers, and each subfield solver O(phi(n)^2), so an
+# untrusted n is checked before them.
 MAX_CONDUCTOR = 360
 
 
@@ -154,17 +163,34 @@ class Cyc:
     """An exact element of a cyclotomic field.
 
     Immutable and hashable; arithmetic between different conductors coerces
-    to the lcm conductor.  `is_zero` and equality are exact.
+    to the lcm conductor.  `is_zero` and equality are exact.  The value is
+    sum(num[j] * zeta_n^j) / den with integer `num` of length phi(n), `den`
+    positive and gcd(den, *num) == 1.
     """
 
-    __slots__ = ("n", "coeffs", "_minimal")
+    __slots__ = ("n", "num", "den", "_minimal")
 
-    def __init__(self, n: int, coeffs) -> None:
+    def __init__(self, n: int, coeffs, den: int = 1) -> None:
+        """The value sum(coeffs[j] * zeta_n^j) / den.
+
+        Coefficients are ints or Fractions and may run past phi(n); `den` is
+        a nonzero int.
+        """
         check_conductor(n)
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", _reduce(n, coeffs))
-        object.__setattr__(self, "_minimal", None)
+        num = list(coeffs)
+        # A Fraction or float term makes the sum a Fraction or float.
+        if type(den) is not int or den < 1 or type(sum(num)) is not int:
+            num, den = _integral(num, den)
+        if len(num) != _phi(n):
+            num = _reduce(n, num)
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        _set_n(self, n)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
+        _set_minimal(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc values are immutable")
@@ -173,7 +199,10 @@ class Cyc:
 
     @staticmethod
     def from_rational(value) -> "Cyc":
-        return Cyc(1, [Fraction(value)])
+        """An int or Fraction as a conductor-1 value."""
+        if isinstance(value, Fraction):
+            return Cyc(1, [value.numerator], value.denominator)
+        return Cyc(1, [value])
 
     @staticmethod
     def root_of_unity(n: int, power: int = 1) -> "Cyc":
@@ -182,11 +211,11 @@ class Cyc:
 
     @staticmethod
     def zero() -> "Cyc":
-        return Cyc(1, [Fraction(0)])
+        return Cyc(1, [0])
 
     @staticmethod
     def one() -> "Cyc":
-        return Cyc(1, [Fraction(1)])
+        return Cyc(1, [1])
 
     # -- coercion ------------------------------------------------------------
 
@@ -199,54 +228,55 @@ class Cyc:
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
 
     @staticmethod
-    def _common(a: "Cyc", b: "Cyc") -> tuple[int, tuple, tuple]:
+    def _common(a: "Cyc", b: "Cyc") -> tuple[int, "Cyc", "Cyc"]:
         if a.n == b.n:
-            return a.n, a.coeffs, b.coeffs
+            return a.n, a, b
         m = lcm(a.n, b.n)
-        ac = a if a.n == m else a._embed(m)
-        bc = b if b.n == m else b._embed(m)
-        return m, ac.coeffs, bc.coeffs
+        return m, a if a.n == m else a._embed(m), b if b.n == m else b._embed(m)
 
     def _power_map(self, m: int, k: int) -> "Cyc":
         """zeta_n^j -> zeta_m^(k*j); both callers keep k*j distinct mod m."""
-        out = [Fraction(0)] * check_conductor(m)
-        for j, c in enumerate(self.coeffs):
+        out = [0] * check_conductor(m)
+        for j, c in enumerate(self.num):
             out[(k * j) % m] = c
-        return Cyc(m, out)
+        return Cyc(m, out, self.den)
 
     def _embed(self, m: int) -> "Cyc":
         return self._power_map(m, m // self.n)
 
     # -- ring operations -----------------------------------------------------
 
+    def _add(self, other, sign: int) -> "Cyc":
+        n, a, b = Cyc._common(self, Cyc._as_cyc(other))
+        if a.den == b.den:
+            return Cyc(n, [x + sign * y for x, y in zip(a.num, b.num)], a.den)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        return Cyc(n, [fa * x + fb * y for x, y in zip(a.num, b.num)], den)
+
     def __add__(self, other) -> "Cyc":
-        other = Cyc._as_cyc(other)
-        n, a, b = Cyc._common(self, other)
-        return Cyc(n, [x + y for x, y in zip(a, b)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Cyc":
-        other = Cyc._as_cyc(other)
-        n, a, b = Cyc._common(self, other)
-        return Cyc(n, [x - y for x, y in zip(a, b)])
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "Cyc":
         return Cyc._as_cyc(other) - self
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, [-c for c in self.coeffs])
+        return Cyc(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other) -> "Cyc":
-        other = Cyc._as_cyc(other)
-        n, a, b = Cyc._common(self, other)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        n, a, b = Cyc._common(self, Cyc._as_cyc(other))
+        bs = [(j, y) for j, y in enumerate(b.num) if y]
+        prod = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyc(n, prod)
+                for j, y in bs:
+                    prod[i + j] += x * y
+        return Cyc(n, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -264,41 +294,39 @@ class Cyc:
         return result
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via extended Euclid against Phi_n."""
+        """Multiplicative inverse via fraction-free extended Euclid against Phi_n.
+
+        Keeps s_i * num == r_i (mod Phi_n) with integer polynomials, trailing
+        zeros trimmed, each pair (r_i, s_i) divided by its content.  When
+        r_1 is a constant c, 1 / (num / den) = den * s_1 / c.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        n = self.n
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        a = list(self.coeffs)
 
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
+        def trim(p):
+            while len(p) > 1 and not p[-1]:
+                p.pop()
+            return p
 
-        # extended gcd: s*a + t*Phi = r (constant), inverse = s / r
-        r0, r1 = phi_poly, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            while d0 >= d1:
-                f = r0[d0] / r1[d1]
-                for i in range(d1 + 1):
-                    r0[d0 - d1 + i] -= f * r1[i]
-                ln = d0 - d1 + len(s1)
-                if len(s0) < ln:
-                    s0 = s0 + [Fraction(0)] * (ln - len(s0))
-                for i in range(len(s1)):
-                    s0[d0 - d1 + i] -= f * s1[i]
-                d0 = deg(r0)
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        const = r1[0]
-        if not const:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        inv = [c / const for c in s1]
-        return Cyc(n, inv)
+        r0, r1 = list(cyclotomic_polynomial(self.n)), trim(list(self.num))
+        s0, s1 = [0], [1]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                shift = len(r0) - len(r1)
+                lead, f = r1[-1], r0[-1]
+                s0 += [0] * (shift + len(s1) - len(s0))
+                r0 = [lead * x for x in r0]
+                s0 = [lead * x for x in s0]
+                for i, y in enumerate(r1):
+                    r0[shift + i] -= f * y
+                for i, y in enumerate(s1):
+                    s0[shift + i] -= f * y
+                g = gcd(*r0, *s0)
+                r0 = trim([x // g for x in r0])
+                s0 = [x // g for x in s0]
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        scale = self.den if r1[0] > 0 else -self.den
+        return Cyc(self.n, [scale * x for x in s1], abs(r1[0]))
 
     def __truediv__(self, other) -> "Cyc":
         return self * Cyc._as_cyc(other).inverse()
@@ -313,24 +341,30 @@ class Cyc:
     # -- predicates and canonical data ----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def minimal_form(self) -> tuple[int, tuple[Fraction, ...]]:
         """(conductor, coeffs) over the smallest cyclotomic field containing the value."""
         cached = self._minimal
         if cached is not None:
             return cached
-        n = self.n
-        result = (n, self.coeffs)
-        if n > 1:
-            for d in _divisors(n):
-                if d == n or d % 4 == 2:
-                    continue
-                sol = _solve_in_subfield(n, d, self.coeffs)
-                if sol is not None:
-                    result = (d, sol)
-                    break
-        object.__setattr__(self, "_minimal", result)
+        n, num, den = self.n, self.num, self.den
+        table = _power_table(n)
+        for d in _divisors(n)[:-1]:
+            if d % 4 == 2:
+                continue
+            p, pden = _subfield_solver(n, d)
+            x = [sum(map(mul, row, num)) for row in p]
+            back = [0] * len(num)  # pden * the value, if it lies in Q(zeta_d)
+            for j, c in enumerate(x):
+                if c:
+                    for i, t in table[j * (n // d)]:
+                        back[i] += c * t
+            if back == [pden * c for c in num]:
+                n, num, den = d, x, den * pden
+                break
+        result = (n, tuple(Fraction(x, den) for x in num))
+        _set_minimal(self, result)
         return result
 
     def is_rational(self) -> bool:
@@ -348,11 +382,13 @@ class Cyc:
         if not isinstance(other, Cyc):
             return NotImplemented
         if self.n == other.n:  # the reduced form at one conductor is unique
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return self.minimal_form() == other.minimal_form()
 
     def __hash__(self) -> int:
-        return hash(self.minimal_form())
+        """A rational value hashes as its Fraction, since it compares equal to it."""
+        d, coeffs = self.minimal_form()
+        return hash(coeffs[0]) if d == 1 else hash((d, coeffs))
 
     def sort_key(self):
         """Deterministic total-order key across all values.
@@ -382,10 +418,14 @@ class Cyc:
     def from_triples(n: int, triples) -> "Cyc":
         # n = 2m, m odd, is read at m: zeta_2m^p = (-1)^p * zeta_m^(p * (n // 4 + 1))
         m, k, s = (n // 2, n // 4 + 1, -1) if check_conductor(n) % 4 == 2 else (n, 1, 1)
-        coeffs = [Fraction(0)] * m
-        for power, num, den in triples:
-            coeffs[power * k % m] += Fraction(s ** (power % 2) * num, den)
-        return Cyc(m, coeffs)
+        terms = [(p * k % m, s ** (p % 2) * num, den) for p, num, den in triples]
+        den = lcm(*(t[2] for t in terms))
+        if not den:
+            raise ZeroDivisionError("a triple has denominator 0")
+        coeffs = [0] * m
+        for j, num, d in terms:
+            coeffs[j] += num * (den // d)
+        return Cyc(m, coeffs, den)
 
     def evaluate(self) -> complex:
         """Floating-point value at zeta_d = exp(2*pi*i/d), d the minimal conductor.
@@ -447,6 +487,10 @@ class Cyc:
 
     def __repr__(self) -> str:
         return f"Cyc({self})"
+
+
+# The slot setters, which bypass the immutability guard of Cyc.__setattr__.
+_set_n, _set_num, _set_den, _set_minimal = (Cyc.__dict__[s].__set__ for s in Cyc.__slots__)
 
 
 def omega() -> Cyc:

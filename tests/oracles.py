@@ -6,13 +6,16 @@ independence, the symmetry-reduced split search, the automorphism
 backtracking): a memoized include/exclude recursion for independent sets,
 raw power-set scans for colorings, a plain DPLL that sees nothing but CNF
 clauses, plain Alice-strategy scans for refutable basis splits and their
-unanswerable Bob bases, a sort-every-image rule for orbit minima, and a
+unanswerable Bob bases, a sort-every-image rule for orbit minima, a
 permutation scan, a product closure and a union-find for automorphism
-groups.
+groups, and per-coefficient Fraction arithmetic with per-call Gaussian
+elimination for cyclotomic numbers.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 
@@ -309,3 +312,119 @@ def bad_sets_bruteforce(inst, x_indices) -> set[frozenset[int]] | None:
             return None
         out.add(bad)
     return out
+
+
+# -- per-coefficient Fraction arithmetic in Q(zeta_n) ------------------------------
+#
+# A value is a tuple of phi(n) Fractions on the power basis 1, zeta_n, ...
+# Products are schoolbook, reduction folds each power past phi(n) by a
+# Fraction power table, and subfield coordinates and inverses come from
+# Gaussian elimination over Fractions on every call.
+
+
+def _fraction_phi(n: int) -> int:
+    from ksverify.cyclotomic import cyclotomic_polynomial
+
+    return len(cyclotomic_polynomial(n)) - 1
+
+
+@cache
+def fraction_power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """zeta_n^j reduced modulo Phi_n as phi(n) Fractions, j = 0 .. n - 1."""
+    from ksverify.cyclotomic import cyclotomic_polynomial
+
+    phi = _fraction_phi(n)
+    top = [Fraction(-c) for c in cyclotomic_polynomial(n)[:phi]]
+    table = []
+    current = [Fraction(1)] + [Fraction(0)] * (phi - 1)
+    for _ in range(n):
+        table.append(tuple(current))
+        lead = current[phi - 1]
+        shifted = [Fraction(0)] + current[: phi - 1]
+        current = [shifted[i] + lead * top[i] for i in range(phi)]
+    return tuple(table)
+
+
+def fraction_reduce(n: int, coeffs) -> tuple[Fraction, ...]:
+    """Reduce Fraction coefficients on powers of zeta_n modulo Phi_n."""
+    phi = _fraction_phi(n)
+    table = fraction_power_table(n)
+    out = [Fraction(c) for c in coeffs[:phi]] + [Fraction(0)] * max(0, phi - len(coeffs))
+    for j in range(phi, len(coeffs)):
+        row = table[j % n]
+        for i in range(phi):
+            out[i] += coeffs[j] * row[i]
+    return tuple(out)
+
+
+def fraction_embed(n: int, m: int, coeffs) -> tuple[Fraction, ...]:
+    """Conductor-n coefficients re-expressed at a multiple m of n."""
+    out = [Fraction(0)] * m
+    for j, c in enumerate(coeffs):
+        out[j * (m // n)] = c
+    return fraction_reduce(m, out)
+
+
+def fraction_conj(n: int, coeffs) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * n
+    for j, c in enumerate(coeffs):
+        out[-j % n] = c
+    return fraction_reduce(n, out)
+
+
+def fraction_product(n: int, a, b) -> tuple[Fraction, ...]:
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return fraction_reduce(n, prod)
+
+
+def fraction_solve(cols, target) -> tuple[Fraction, ...] | None:
+    """The x with sum(x[j] * cols[j]) == target, if any (cols independent)."""
+    rows, k = len(target), len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
+           for i in range(rows)]
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(k):
+        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    if any(aug[i][k] for i in range(r, rows)):
+        return None  # inconsistent: target is outside the column span
+    sol = [Fraction(0)] * k
+    for i, c in enumerate(piv_cols):
+        sol[c] = aug[i][k]
+    return tuple(sol)
+
+
+def fraction_inverse(n: int, a) -> tuple[Fraction, ...]:
+    """The x with a * x == 1, solved over the columns a * zeta^j."""
+    phi = _fraction_phi(n)
+    units = [tuple(Fraction(int(i == j)) for i in range(phi)) for j in range(phi)]
+    sol = fraction_solve([fraction_product(n, a, u) for u in units], units[0])
+    assert sol is not None, "zero has no inverse"
+    return sol
+
+
+def fraction_minimal_form(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
+    """(d, coordinates) at the least d | n, d != 2 mod 4, whose field holds the value."""
+    table = fraction_power_table(n)
+    for d in range(1, n):
+        if n % d or d % 4 == 2:
+            continue
+        cols = [table[(n // d) * j] for j in range(_fraction_phi(d))]
+        sol = fraction_solve(cols, coeffs)
+        if sol is not None:
+            return d, sol
+    return n, tuple(coeffs)

@@ -1,9 +1,11 @@
-"""Exact cyclotomic arithmetic: ring axioms, conjugation, coercion."""
+"""Exact cyclotomic arithmetic: ring axioms, conjugation, coercion, and the
+integer representation against per-coefficient Fraction arithmetic."""
 
 import cmath
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+import oracles
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -131,7 +133,7 @@ def test_rational_detection():
 
 
 small_fraction = st.fractions(
-    min_value=-4, max_value=4, max_denominator=3
+    min_value=-4, max_value=4, max_denominator=12
 )
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 24]
 conductors = st.sampled_from(CONDUCTORS)
@@ -194,8 +196,10 @@ def test_coercion_roundtrip(a, factor):
     m = n * factor
     up = Cyc(*a.minimal_form()) + Cyc(m, [])
     assert up.n == m
-    assert up == a
+    assert up == a and hash(up) == hash(a)
     assert up.minimal_form() == a.minimal_form()
+    if a.is_rational():
+        assert a == a.as_fraction() and hash(a) == hash(a.as_fraction())
 
 
 @given(cyc_numbers(), cyc_numbers(), cyc_numbers())
@@ -205,6 +209,77 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+def test_rational_values_hash_as_their_fraction():
+    assert {3: "x"}.get(Cyc.from_rational(3)) == "x"
+    assert hash(W + W**2) == hash(-1)
+    assert {Fraction(-1, 3): "y"}[(W + W**2) / 3] == "y"
+    assert hash(sqrt2() * sqrt2() / 5) == hash(Fraction(2, 5))
+
+
+def test_coefficients_must_be_exact():
+    for make in (lambda: Cyc(1, [0.1]), lambda: Cyc(3, [1, 0.5]),
+                 lambda: Cyc(3, [Fraction(1, 2), 1.0]), lambda: Cyc(1, [1], 2.0),
+                 lambda: Cyc(1, [1], Fraction(1, 2)), lambda: Cyc(1, ["1"]),
+                 lambda: Cyc.from_rational(0.5), lambda: W * 0.5,
+                 lambda: Cyc.from_triples(3, [[0, 0.5, 1]])):
+        with pytest.raises(TypeError):
+            make()
+    for make in (lambda: Cyc(1, [1], 0), lambda: Cyc.from_triples(3, [[0, 1, 0]])):
+        with pytest.raises(ZeroDivisionError):
+            make()
+    assert Cyc(1, [Fraction(1, 2), 1], -3) == Fraction(-1, 2)
+    mixed = Cyc.from_triples(3, [[1, 1, 2], [1, 1, 3], [0, 1, -4]])
+    assert mixed == W * Fraction(5, 6) - Fraction(1, 4)
+
+
+def reference(c: Cyc) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, c.den) for x in c.num)
+
+
+@given(cyc_numbers(), cyc_numbers())
+def test_ring_operations_match_fraction_reference(a, b):
+    m = lcm(a.n, b.n)
+    ra = oracles.fraction_embed(a.n, m, reference(a))
+    rb = oracles.fraction_embed(b.n, m, reference(b))
+    for value, expected in (
+        (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        (a * b, oracles.fraction_product(m, ra, rb)),
+    ):
+        assert value.n == m
+        assert reference(value) == expected
+
+
+@given(cyc_numbers(), st.sampled_from([1, 2, 3]))
+def test_conj_inverse_minimal_form_match_fraction_reference(a, factor):
+    ra = reference(a)
+    assert reference(a.conj()) == oracles.fraction_conj(a.n, ra)
+    assert a.minimal_form() == oracles.fraction_minimal_form(a.n, ra)
+    norm = a * a.conj()
+    assert norm.minimal_form() == oracles.fraction_minimal_form(a.n, reference(norm))
+    up = a + Cyc(a.n * factor, [])
+    assert up.minimal_form() == oracles.fraction_minimal_form(up.n, reference(up))
+    if not a.is_zero():
+        assert reference(a.inverse()) == oracles.fraction_inverse(a.n, ra)
+
+
+@given(cyc_numbers(), cyc_numbers())
+def test_representation_is_unique_and_in_lowest_terms(a, b):
+    values = [a, b, a + b, a - b, a * b, -a, a.conj()]
+    if not a.is_zero():
+        values.append(a.inverse())
+    for value in values:
+        assert value.den > 0
+        assert gcd(value.den, *value.num) == 1
+        assert len(value.num) == len(cyclotomic_polynomial(value.n)) - 1
+    m = lcm(a.n, b.n)
+    x, y = (a + b) - b, a + Cyc(m, [])  # one value, two ways, at conductor m
+    assert x.n == y.n == m
+    assert (x.num, x.den) == (y.num, y.den)
+    ab, ba = a * b, b * a
+    assert (ab.num, ab.den) == (ba.num, ba.den)
 
 
 def test_evaluate_at_primitive_root():
