@@ -153,6 +153,8 @@ def cmd_symmetry(args) -> dict:
 
 
 def cmd_game(args) -> dict | int:
+    if args.export_legend and not args.export_graph:
+        raise ValueError("--export-legend needs --export-graph")
     inst = _get_instance(args.set)
     _print_notes(inst)
     game = _game_from_args(inst, args)
@@ -198,14 +200,14 @@ def cmd_minimal(args) -> dict | int:
         return EXIT_INCOMPLETE
     if result.product is None:
         print(f"{inst.name}: no basis split refutes all classical strategies")
-        return {}
-    print(f"{inst.name}: minimal refutable split {result.split()} "
-          f"(product {result.product})")
-    print(f"Alice basis indices: {list(result.alice_bases)}")
-    print(f"Bob basis indices: {list(result.bob_bases)}")
-    print("note: minimality criterion is the absence of a perfect classical "
-          "strategy, searched exhaustively over basis subsets up to "
-          "instance symmetry")
+    else:
+        print(f"{inst.name}: minimal refutable split {result.split()} "
+              f"(product {result.product})")
+        print(f"Alice basis indices: {list(result.alice_bases)}")
+        print(f"Bob basis indices: {list(result.bob_bases)}")
+        print("note: minimality criterion is the absence of a perfect classical "
+              "strategy, searched exhaustively over basis subsets up to "
+              "instance symmetry")
     return {inst.name: {"minimal_product": result.product,
                         "minimal_split": result.split()}}
 

@@ -105,98 +105,85 @@ class SearchResult:
     nodes: int
 
 
-class _Propagator:
-    """Unit-propagation state and the basis-branching search over it."""
-
-    def __init__(self, inst: KSInstance):
-        self.adj = inst.graph.adj
-        self.n = inst.graph.n
-        self.bases = inst.basis_indices
-        self.in_bases = [[] for _ in range(self.n)]
-        for bi, triple in enumerate(self.bases):
-            for v in triple:
-                self.in_bases[v].append(bi)
-        self.vals: list[int | None] = [None] * self.n
-        self.trail: list[int] = []
-        self.nodes = 0
-
-    def assign(self, v: int, value: int) -> bool:
-        """Set v := value with propagation; False on conflict."""
-        queue = [(v, value)]
-        while queue:
-            u, val = queue.pop()
-            cur = self.vals[u]
-            if cur is not None:
-                if cur != val:
-                    return False
-                continue
-            self.vals[u] = val
-            self.trail.append(u)
-            if val == 1:
-                m = self.adj[u]
-                while m:
-                    w = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    queue.append((w, 0))
-            for bi in self.in_bases[u]:
-                triple = self.bases[bi]
-                vals = [self.vals[t] for t in triple]
-                ones = sum(1 for x in vals if x == 1)
-                zeros = sum(1 for x in vals if x == 0)
-                if ones > 1 or (zeros == 3):
-                    return False
-                if ones == 1:
-                    for t in triple:
-                        if self.vals[t] is None:
-                            queue.append((t, 0))
-                elif zeros == 2:
-                    for t in triple:
-                        if self.vals[t] is None:
-                            queue.append((t, 1))
-        return True
-
-    def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            self.vals[self.trail.pop()] = None
-
-    def leaves(self):
-        """Yield at every leaf of the basis-branching search, in order.
-
-        Branches on the first basis without a 1, trying each member not
-        already 0, one node per try.  At a leaf every basis carries a 1
-        and `vals` holds the partial assignment (free rays None).
-        """
-        open_bases = (i for i, triple in enumerate(self.bases)
-                      if not any(self.vals[t] == 1 for t in triple))
-        bi = next(open_bases, None)
-        if bi is None:
-            yield
-            return
-        for t in self.bases[bi]:
-            if self.vals[t] == 0:
-                continue
-            self.nodes += 1
-            mark = len(self.trail)
-            if self.assign(t, 1):
-                yield from self.leaves()
-            self.undo(mark)
-
-    def free_completions(self, pos: int = 0):
-        """Yield at every total assignment extending `vals`, free rays 0 before 1."""
-        while pos < self.n and self.vals[pos] is not None:
-            pos += 1
-        if pos == self.n:
-            yield
-            return
-        for value in (0, 1):
-            mark = len(self.trail)
-            if self.assign(pos, value):
-                yield from self.free_completions(pos + 1)
-            self.undo(mark)
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
-def _checked_assignment(inst: KSInstance, vals) -> Assignment:
-    f = Assignment({ray: vals[i] for i, ray in enumerate(inst.graph.vertices)})
+def close(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
+    """The unit-propagation fixpoint of (ones, zeros), or None on a conflict.
+
+    Bit v of `ones` (`zeros`) gives ray v the value 1 (0); `adj` holds the
+    orthogonality rows, `bases` the basis bitmasks.  A 1 puts its row into
+    zeros, a basis with one 1 puts its other members into zeros, and a
+    basis with one member outside zeros puts that member into ones.  Two
+    1s in a basis, a basis of 0s or a ray in both masks is a conflict.
+    Rules only add bits, so the order they fire in does not matter.
+    """
+    while True:
+        before = ones, zeros
+        for v in _bits(ones):
+            zeros |= adj[v]
+        for basis in bases:
+            one, free = basis & ones, basis & ~zeros
+            if one & (one - 1) or not free:
+                return None
+            if one:
+                zeros |= basis ^ one
+            elif not free & (free - 1):
+                ones |= free
+        if ones & zeros:
+            return None
+        if (ones, zeros) == before:
+            return before
+
+
+def _search_tree(adj, bases, ones: int = 0, zeros: int = 0):
+    """Yield one item per node of the basis-branching search, in order.
+
+    A node branches on the first basis without a 1, giving each member not
+    already 0 the value 1 in turn, one child per try.  A leaf (every basis
+    carries a 1) yields its (ones, zeros) pair; every other node, a try
+    that conflicts included, yields None.
+    """
+    open_basis = next((b for b in bases if not b & ones), None)
+    if open_basis is None:
+        yield ones, zeros
+        return
+    yield None
+    for v in _bits(open_basis & ~zeros):
+        child = close(adj, bases, ones | 1 << v, zeros)
+        if child is None:
+            yield None
+        else:
+            yield from _search_tree(adj, bases, *child)
+
+
+def _completions(adj, bases, ones: int, zeros: int):
+    """Yield the ones mask of each total assignment extending (ones, zeros).
+
+    The lowest free ray gets 0 before 1.
+    """
+    free = ~(ones | zeros) & ((1 << len(adj)) - 1)
+    if not free:
+        yield ones
+        return
+    bit = free & -free
+    for child in ((ones, zeros | bit), (ones | bit, zeros)):
+        child = close(adj, bases, *child)
+        if child is not None:
+            yield from _completions(adj, bases, *child)
+
+
+def _search_data(inst: KSInstance):
+    """The orthogonality rows and the basis bitmasks of `inst`."""
+    return inst.graph.adj, [sum(1 << t for t in triple) for triple in inst.basis_indices]
+
+
+def _checked_assignment(inst: KSInstance, ones: int) -> Assignment:
+    f = Assignment({ray: ones >> i & 1 for i, ray in enumerate(inst.graph.vertices)})
     problems = verify_assignment(inst, f)
     if problems:
         raise AssertionError(f"search produced an invalid assignment: {problems}")
@@ -205,12 +192,12 @@ def _checked_assignment(inst: KSInstance, vals) -> Assignment:
 
 def find_ks_assignment(inst: KSInstance) -> SearchResult:
     """First valid assignment in branching order, or exhaustive UNSAT."""
-    prop = _Propagator(inst)
-    for _ in prop.leaves():
-        # all bases carry a 1; free rays get 0 (edges stay satisfied)
-        vals = [v if v is not None else 0 for v in prop.vals]
-        return SearchResult(True, _checked_assignment(inst, vals), prop.nodes)
-    return SearchResult(False, None, prop.nodes)
+    # item k of the tree is the k-th node tried after the root
+    for nodes, leaf in enumerate(_search_tree(*_search_data(inst))):
+        if leaf is not None:
+            # all bases carry a 1; free rays get 0 (edges stay satisfied)
+            return SearchResult(True, _checked_assignment(inst, leaf[0]), nodes)
+    return SearchResult(False, None, nodes)
 
 
 @dataclass(frozen=True)
@@ -221,11 +208,11 @@ class EnumerationResult:
 
 def enumerate_ks_assignments(inst: KSInstance, cap: int = 100000) -> EnumerationResult:
     """All valid assignments in deterministic order, up to `cap`."""
-    prop = _Propagator(inst)
+    adj, bases = _search_data(inst)
     found = (
-        _checked_assignment(inst, prop.vals)
-        for _ in prop.leaves()
-        for _ in prop.free_completions()
+        _checked_assignment(inst, ones)
+        for leaf in _search_tree(adj, bases) if leaf is not None
+        for ones in _completions(adj, bases, *leaf)
     )
     out = list(itertools.islice(found, cap + 1))  # one extra detects truncation
     return EnumerationResult(out[:cap], len(out) > cap)

@@ -162,6 +162,10 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
 
 # -- automorphism group --------------------------------------------------------
 
+# Every element is stored, so a set file of n pairwise non-orthogonal rays
+# (the symmetric group, n! elements) must not run the enumeration unbounded.
+MAX_AUTOMORPHISMS = 10_000
+
 
 @dataclass(frozen=True)
 class AutGroupReport:
@@ -179,8 +183,8 @@ def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
     Backtracking over vertex images: each vertex starts from the vertices
     of its degree, the most-constrained vertex is mapped first, and every
     choice is forward-checked against the rest.  Intended for the
-    catalog-scale graphs (tens of vertices, small groups), not for highly
-    symmetric large graphs.
+    catalog-scale graphs (tens of vertices, small groups): a group with
+    more than MAX_AUTOMORPHISMS elements raises ValueError.
     """
     n = len(adj)
     degrees = [m.bit_count() for m in adj]
@@ -190,6 +194,9 @@ def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
 
     def dfs(cand: list[int], unmapped: list[int]) -> None:
         if not unmapped:
+            if len(found) == MAX_AUTOMORPHISMS:
+                raise ValueError(
+                    f"automorphism group has more than {MAX_AUTOMORPHISMS} elements")
             found.append(tuple(image))
             return
         # most-constrained source vertex, lowest index on ties

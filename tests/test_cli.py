@@ -84,6 +84,20 @@ def test_minimal(capsys):
     assert "5-9" in out
 
 
+def test_minimal_without_refutable_split_is_compared(tmp_path, capsys):
+    doc = serialize(builtin("yuoh13"))
+    doc["name"] = "new33"
+    path = tmp_path / "new33.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "--expect-paper", "minimal", str(path))
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-2:] == [
+        "EXPECT-PAPER MISMATCH: new33.minimal_product: computed None, expected 45",
+        "EXPECT-PAPER MISMATCH: new33.minimal_split: computed none, expected 5-9",
+    ]
+    assert run(capsys, "--expect-paper", "minimal", "yuoh13")[0] == EXIT_OK
+
+
 def test_minimal_budget_zero_incomplete(capsys):
     code, out = run(capsys, "minimal", "new33", "--budget", "0")
     assert code == EXIT_INCOMPLETE
@@ -270,6 +284,9 @@ BAD_FILES = {
     "tripshort.json": set_file(rays=[[[[0, 1]], [], []]]),
     "provint.json": set_file(provenance=5),
     "provlist.json": set_file(provenance=["a"]),
+    # one basis and 8 pairwise non-orthogonal rays (1,k,1): 3! * 8! automorphisms
+    "sym8.json": set_file(rays=E123 + [[[[0, 1, 1]], [[0, k, 1]], [[0, 1, 1]]]
+                                       for k in range(1, 9)]),
 }
 
 
@@ -306,6 +323,11 @@ BAD_FILES = {
     ["majorana", "new33", "--out", "nodir/x.csv"],
     ["verify", "new33", "--export-cnf", "nodir/x.cnf"],
     ["game", "new33", "--export-graph", "nodir/g.txt"],
+    ["game", "new33", "--export-legend", "nodir/l.txt"],
+    ["symmetry", "sym8.json"],
+    ["game", "sym8.json"],
+    ["minimal", "sym8.json"],
+    ["table1", "--sets", "sym8.json"],
 ], ids=" ".join)
 def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():

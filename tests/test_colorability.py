@@ -72,6 +72,14 @@ def test_new33_unsat_and_yuoh_sat():
     res13 = find_ks_assignment(builtin("yuoh13"))
     assert res13.satisfiable
     assert verify_assignment(builtin("yuoh13"), res13.assignment) == []
+    # the branching order: node counts and the first assignments, in order
+    assert res13.nodes == 3
+    assert find_ks_assignment(builtin("peres33")).nodes == 33
+    assert find_ks_assignment(builtin("conway31")).nodes == 13
+    inst = builtin("yuoh13")
+    first = enumerate_ks_assignments(inst, cap=5).assignments
+    assert [sum(f.values[r] << i for i, r in enumerate(inst.graph.vertices))
+            for f in first] == [37, 293, 41, 2089, 69]
 
 
 def test_new33_enumeration_empty():

@@ -182,6 +182,12 @@ def test_legacy_automorphism_orders():
         assert len(rep.orbits) == orbit_count
 
 
+def test_enumerate_automorphisms_is_bounded():
+    assert len(enumerate_automorphisms([0] * 7)) == 5040
+    with pytest.raises(ValueError, match="more than 10000"):
+        enumerate_automorphisms([0] * 8)
+
+
 def test_enumerate_automorphisms_is_a_group():
     g = triangle_graph()
     perms = enumerate_automorphisms(g.adj)
