@@ -142,7 +142,10 @@ def load_set(path) -> KSInstance:
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise InvalidSetError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InvalidSetError(f"{path}: not a JSON object")
     name = doc.get("name", path.stem)

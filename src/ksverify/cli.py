@@ -28,7 +28,6 @@ from .game import (
     quantum_value_maxent,
 )
 from .majorana import export_majorana
-from .orthograph import automorphisms
 from .rays import parse_ray
 from .weylheisenberg import generator, is_sic_povm, orbit_closure
 
@@ -80,9 +79,12 @@ def _get_instance(name_or_path: str) -> KSInstance:
         f"({', '.join(catalog.BUILTIN_NAMES)}) nor an existing file")
 
 
-def _print_notes(inst: KSInstance) -> None:
+def _load(name_or_path: str) -> KSInstance:
+    """A builtin set or set file, after printing its notes."""
+    inst = _get_instance(name_or_path)
     for note in inst.notes:
         print(f"note: {note}")
+    return inst
 
 
 def _game_from_args(inst: KSInstance, args) -> Game:
@@ -110,8 +112,7 @@ def _game_from_args(inst: KSInstance, args) -> Game:
 
 
 def cmd_verify(args) -> dict:
-    inst = _get_instance(args.set)
-    _print_notes(inst)
+    inst = _load(args.set)
     result = find_ks_assignment(inst)
     verdict = "SAT" if result.satisfiable else "UNSAT"
     print(f"{inst.name}: {inst.graph.n} rays, {len(inst.bases)} complete bases")
@@ -130,8 +131,7 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_bases(args) -> dict:
-    inst = _get_instance(args.set)
-    _print_notes(inst)
+    inst = _load(args.set)
     print(f"{inst.name}: {len(inst.bases)} complete bases")
     for i, basis in enumerate(inst.bases):
         print(f"{i}: {basis}")
@@ -139,9 +139,8 @@ def cmd_bases(args) -> dict:
 
 
 def cmd_symmetry(args) -> dict:
-    inst = _get_instance(args.set)
-    _print_notes(inst)
-    report = automorphisms(inst.graph)
+    inst = _load(args.set)
+    report = inst.graph.group
     sizes = sorted(len(o) for o in report.orbits)
     print(f"{inst.name}: automorphism group order {report.order}")
     print(f"vertex orbits: {len(report.orbits)} with sizes {sizes}")
@@ -155,8 +154,7 @@ def cmd_symmetry(args) -> dict:
 def cmd_game(args) -> dict | int:
     if args.export_legend and not args.export_graph:
         raise ValueError("--export-legend needs --export-graph")
-    inst = _get_instance(args.set)
-    _print_notes(inst)
+    inst = _load(args.set)
     game = _game_from_args(inst, args)
     kinds: dict[str, int] = {}
     for c in game.contexts:
@@ -191,8 +189,7 @@ def cmd_game(args) -> dict | int:
 
 
 def cmd_minimal(args) -> dict | int:
-    inst = _get_instance(args.set)
-    _print_notes(inst)
+    inst = _load(args.set)
     result = minimal_distribution_search(inst, budget_seconds=args.budget)
     if not result.complete:
         print(f"{inst.name}: search incomplete within budget "
@@ -257,8 +254,7 @@ def cmd_sic(args) -> dict:
 
 
 def cmd_majorana(args) -> dict:
-    inst = _get_instance(args.set)
-    _print_notes(inst)
+    inst = _load(args.set)
     export_majorana(inst, args.out)
     print(f"{inst.name}: wrote {2 * inst.graph.n} sphere points "
           f"({inst.graph.n} rays) to {args.out}")
@@ -275,7 +271,7 @@ def cmd_table1(args) -> dict:
         except MissingDataError as exc:
             skipped.append((name, str(exc)))
             continue
-        report = automorphisms(inst.graph)
+        report = inst.graph.group
         satisfiable = find_ks_assignment(inst).satisfiable
         row = facts[inst.name] = {
             "rays": inst.graph.n, "bases": len(inst.bases),

@@ -35,10 +35,6 @@ class KSInstance:
     def __setattr__(self, name, value):
         raise AttributeError("KSInstance is immutable")
 
-    @property
-    def rays(self) -> tuple[Ray, ...]:
-        return self.graph.vertices
-
     def ray_set(self) -> frozenset[Ray]:
         return frozenset(self.graph.vertices)
 
@@ -55,17 +51,9 @@ class Assignment:
 
     values: dict
 
-    def value(self, ray: Ray) -> int:
-        return self.values[ray]
-
     def ones(self) -> tuple[Ray, ...]:
         return tuple(r for r, v in sorted(
             self.values.items(), key=lambda kv: kv[0].sort_key()) if v == 1)
-
-    def __str__(self) -> str:
-        parts = [f"{r}={v}" for r, v in sorted(
-            self.values.items(), key=lambda kv: kv[0].sort_key())]
-        return "{" + ", ".join(parts) + "}"
 
 
 @dataclass(frozen=True)

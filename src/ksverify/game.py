@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .colorability import KSInstance
 from .cyclotomic import Cyc
-from .orthograph import automorphisms, dimacs_edges, max_independent_set
+from .orthograph import dimacs_edges, max_independent_set
 from .rays import Basis, Ray, inner, is_orthogonal
 
 
@@ -91,7 +91,7 @@ def default_split(inst: KSInstance) -> tuple[list[int], list[int]]:
     all-type-I basis and the bases inside the middle orbit), the rest
     (one type-I ray plus two large-orbit rays) go to Bob.
     """
-    orbits = automorphisms(inst.graph).orbits
+    orbits = inst.graph.group.orbits
     orbit_of = {v: oi for oi, orbit in enumerate(orbits) for v in orbit}
     alice, bob = [], []
     for bi, triple in enumerate(inst.basis_indices):
@@ -386,7 +386,7 @@ def minimal_distribution_search(
     nb = len(inst.basis_indices)
     if nb == 0:
         return MinimalSplitResult(None, None, None, True, 0)
-    group = _basis_permutation_group(inst, automorphisms(inst.graph).elements)
+    group = _basis_permutation_group(inst, inst.graph.group.elements)
     W = _win_table(inst)
     start = time.monotonic()
     checked = 0

@@ -16,7 +16,7 @@ from .rays import Ray, is_orthogonal
 class OrthoGraph:
     """Immutable orthogonality graph over deduplicated canonical rays."""
 
-    __slots__ = ("vertices", "adj", "n")
+    __slots__ = ("vertices", "adj", "n", "_group")
 
     def __init__(self, rays) -> None:
         vertices = tuple(sorted(set(rays), key=Ray.sort_key))
@@ -30,9 +30,18 @@ class OrthoGraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_group", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthoGraph is immutable")
+
+    @property
+    def group(self) -> AutGroupReport:
+        """The automorphism group, enumerated on first use and then kept;
+        one above MAX_AUTOMORPHISMS raises ValueError on every access."""
+        if self._group is None:
+            object.__setattr__(self, "_group", automorphisms(self))
+        return self._group
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2

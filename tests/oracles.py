@@ -8,7 +8,8 @@ raw power-set scans for colorings, a plain DPLL that sees nothing but CNF
 clauses, plain Alice-strategy scans for refutable basis splits and their
 unanswerable Bob bases, a sort-every-image rule for orbit minima, a
 permutation scan, a product closure and a union-find for automorphism
-groups, and per-coefficient Fraction arithmetic with per-call Gaussian
+groups, monomial maps applied to the rays themselves for a group found
+from the graph, and per-coefficient Fraction arithmetic with per-call Gaussian
 elimination for cyclotomic numbers.
 """
 
@@ -146,6 +147,35 @@ def automorphisms_bruteforce(adj: list[int]) -> list[tuple[int, ...]]:
         p for p in permutations(range(n))
         if all(adj[p[i]] >> p[j] & 1 for i, j in edges)
     ]
+
+
+def monomial_symmetries(inst, phases) -> list[tuple[tuple[int, ...], bool]]:
+    """(vertex permutation, unitary) for each monomial map fixing the ray set.
+
+    The maps are v -> D P v and v -> D P conj(v), with P a coordinate
+    permutation and D = diag(1, d1, d2) for d1, d2 in `phases`; conj makes
+    the map antiunitary.  Each image is rebuilt as a Ray and looked up among
+    the vertices, so the graph's adjacency is never read.
+    """
+    from ksverify.cyclotomic import Cyc
+    from ksverify.rays import Ray
+
+    vertices = inst.graph.vertices
+    index = {r: i for i, r in enumerate(vertices)}
+    out = []
+    for perm, (d1, d2), conjugate in product(
+            permutations(range(3)), product(phases, repeat=2), (False, True)):
+        diagonal = (Cyc.one(), d1, d2)
+        image = []
+        for r in vertices:
+            v = [c.conj() for c in r.components] if conjugate else r.components
+            w = Ray(tuple(d * v[j] for d, j in zip(diagonal, perm)))
+            if w not in index:
+                break
+            image.append(index[w])
+        else:
+            out.append((tuple(image), not conjugate))
+    return out
 
 
 def canonical_subsets_reference(group, nb: int, size: int) -> list[tuple[int, ...]]:

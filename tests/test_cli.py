@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ksverify import catalog, orthograph
 from ksverify.catalog import builtin, serialize
 from ksverify.cli import (
     EXIT_INCOMPLETE,
@@ -253,6 +254,24 @@ def test_reports_are_byte_identical(capsys):
     assert t1 == t2
 
 
+@pytest.mark.parametrize("argv,enumerations", [
+    (["table1"], 3),  # conway31, peres33, new33; minimal new33 reuses its group
+    (["game", "new33"], 1),
+    (["minimal", "new33"], 1),
+    (["symmetry", "new33"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_each_graph_enumerates_its_group_once(argv, enumerations, monkeypatch, capsys):
+    calls = []
+    enumerate_automorphisms = orthograph.enumerate_automorphisms
+    monkeypatch.setattr(orthograph, "enumerate_automorphisms",
+                        lambda adj: calls.append(adj) or enumerate_automorphisms(adj))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    assert main(argv) == EXIT_OK
+    g = builtin("new33").graph
+    assert g.group is g.group
+    assert len(calls) == enumerations
+
+
 E123 = [[[[0, 1, 1]], [], []], [[], [[0, 1, 1]], []], [[], [], [[0, 1, 1]]]]
 
 
@@ -284,6 +303,7 @@ BAD_FILES = {
     "tripshort.json": set_file(rays=[[[[0, 1]], [], []]]),
     "provint.json": set_file(provenance=5),
     "provlist.json": set_file(provenance=["a"]),
+    "deep.json": '{"rays": ' + "[" * 100_000,
     # one basis and 8 pairwise non-orthogonal rays (1,k,1): 3! * 8! automorphisms
     "sym8.json": set_file(rays=E123 + [[[[0, 1, 1]], [[0, k, 1]], [[0, 1, 1]]]
                                        for k in range(1, 9)]),
@@ -311,6 +331,7 @@ BAD_FILES = {
     ["verify", "tripshort.json"],
     ["verify", "provint.json"],
     ["verify", "provlist.json"],
+    ["verify", "deep.json"],
     ["sic", "--seed", "(1,z361,0)"],
     ["sic", "--seed", "(1,1/0,0)"],
     ["sic", "--seed", "(1,1)"],

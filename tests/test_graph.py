@@ -24,6 +24,7 @@ from oracles import (
     automorphisms_bruteforce,
     close_under_products,
     count_orthogonal_pairs,
+    monomial_symmetries,
     orbits_of_group,
     parse_dimacs_edges,
     random_graph,
@@ -148,6 +149,17 @@ def test_new33_automorphisms():
     assert rep.order == len(rep.elements) == 144
     assert sorted(len(o) for o in rep.orbits) == [3, 12, 18]
     assert list(rep.elements) == sorted(set(rep.elements))
+
+
+def test_new33_group_is_its_monomial_symmetries():
+    """|Aut| = 144 from the rays alone: the 432 maps D P v and D P conj(v)
+    with D = diag(1, +-w^j, +-w^k) induce exactly the graph's group."""
+    inst = builtin("new33")
+    phases = [s * W**k for s in (1, -1) for k in range(3)]
+    maps = monomial_symmetries(inst, phases)
+    assert sorted(p for p, _ in maps) == list(inst.graph.group.elements)
+    assert len(maps) == 144
+    assert sum(unitary for _, unitary in maps) == 72
 
 
 def test_generator_closure_reproduces_group_and_orbits():

@@ -16,9 +16,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ksverify.catalog import save_set
+from ksverify.cli import EXPECTED
 from ksverify.colorability import KSInstance, find_ks_assignment
 from ksverify.cyclotomic import Cyc, sqrt2
-from ksverify.orthograph import automorphisms
 from ksverify.rays import Ray
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "ksverify" / "data"
@@ -41,13 +41,15 @@ def rays_from_texts(texts) -> list[Ray]:
     return [parse_ray(t) for t in texts]
 
 
-def verify(name, rays, bases, aut_order, orbits):
+def verify(name, rays):
+    """The instance, once its invariants match the published ones in cli.EXPECTED."""
     inst = KSInstance(name, rays)
-    rep = automorphisms(inst.graph)
+    group = inst.graph.group
     res = find_ks_assignment(inst)
-    actual = (inst.graph.n, len(inst.bases), rep.order, len(rep.orbits),
+    actual = (inst.graph.n, len(inst.bases), group.order, len(group.orbits),
               not res.satisfiable)
-    expected = (len(rays), bases, aut_order, orbits, True)
+    ref = EXPECTED[name]
+    expected = (len(rays), ref["bases"], ref["aut_order"], ref["orbit_count"], True)
     if actual != expected:
         raise SystemExit(f"{name}: invariants {actual} != expected {expected}")
     print(f"{name}: {actual[0]} rays, {actual[1]} bases, |Aut|={actual[2]}, "
@@ -62,7 +64,7 @@ def make_peres33():
     rays += signed_perms((0, 1, 1))
     rays += signed_perms((0, 1, s2))
     rays += signed_perms((1, 1, s2))
-    inst = verify("peres33", rays, bases=16, aut_order=48, orbits=4)
+    inst = verify("peres33", rays)
     save_set(
         inst,
         DATA / "peres33.json",
@@ -86,8 +88,7 @@ CONWAY31 = [
 ]
 
 def make_conway31():
-    inst = verify("conway31", rays_from_texts(CONWAY31),
-                  bases=17, aut_order=4, orbits=10)
+    inst = verify("conway31", rays_from_texts(CONWAY31))
     save_set(
         inst,
         DATA / "conway31.json",
