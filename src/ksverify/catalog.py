@@ -48,6 +48,11 @@ class InvalidSetError(ValueError):
     """A set file that parses but fails validation."""
 
 
+def _clip(text: str) -> str:
+    """`text` cut to about 80 characters, so an error line quoting it stays short."""
+    return text if len(text) <= 80 else text[:76] + " ..."
+
+
 def _ray(*components) -> Ray:
     return Ray(components)
 
@@ -162,7 +167,7 @@ def load_set(path) -> KSInstance:
          and all(isinstance(n, str) for n in notes), "a list of strings"),
     ):
         if not ok:
-            raise InvalidSetError(f"{path}: {field} {value!r} is not {kind}")
+            raise InvalidSetError(f"{path}: {field} {_clip(repr(value))} is not {kind}")
     try:
         check_conductor(conductor)
     except ValueError as exc:
@@ -173,16 +178,17 @@ def load_set(path) -> KSInstance:
     rays = []
     for i, spec in enumerate(ray_specs):
         if not isinstance(spec, list) or len(spec) != 3:
-            raise InvalidSetError(f"{path}: ray {i} {spec!r} does not have 3 components")
+            raise InvalidSetError(
+                f"{path}: ray {i} {_clip(repr(spec))} does not have 3 components")
         if not all(isinstance(comp, list) and all(
                 isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
                 for t in comp) for comp in spec):
-            raise InvalidSetError(f"{path}: ray {i} {spec!r}: a component is not "
-                                  f"a list of triples of three integers")
+            raise InvalidSetError(f"{path}: ray {i} {_clip(repr(spec))}: a component "
+                                  f"is not a list of triples of three integers")
         try:
             rays.append(Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSetError(f"{path}: ray {i} {spec!r}: {exc}") from None
+            raise InvalidSetError(f"{path}: ray {i} {_clip(repr(spec))}: {exc}") from None
     notes = list(notes)
     if provenance:
         notes.insert(0, f"provenance: {provenance}")
@@ -191,19 +197,19 @@ def load_set(path) -> KSInstance:
     for i, ray in enumerate(rays):
         if ray in seen:
             problems.append(
-                f"rays {seen[ray]} and {i} are the same projective ray {ray}")
+                f"rays {seen[ray]} and {i} are the same projective ray {_clip(str(ray))}")
         else:
             seen[ray] = i
     for bi, triple in enumerate(declared):
         if not (isinstance(triple, list) and len(triple) == 3
                 and all(type(i) is int and 0 <= i < len(rays) for i in triple)):
-            raise InvalidSetError(f"{path}: declared basis {bi} {triple!r} is "
+            raise InvalidSetError(f"{path}: declared basis {bi} {_clip(repr(triple))} is "
                                   f"not 3 ray indices in 0..{len(rays) - 1}")
         chosen = [rays[i] for i in triple]
         for v in validate_basis(chosen):
             problems.append(
                 f"declared basis {bi} {tuple(triple)}: rays {triple[v.index_a]} "
-                f"and {triple[v.index_b]} have inner product {v.product}"
+                f"and {triple[v.index_b]} have inner product {_clip(str(v.product))}"
             )
     if problems:
         raise InvalidSetError(f"{path}: " + "; ".join(problems))

@@ -11,7 +11,7 @@ is exhaustive, so UNSAT answers are certificates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .orthograph import build_graph, complete_bases
 from .rays import Basis, Ray
@@ -45,21 +45,20 @@ class KSInstance:
         )
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Total 0/1 valuation of an instance's rays."""
+class Assignment(namedtuple("Assignment", "values")):
+    """Total 0/1 valuation of an instance's rays: `values` maps each Ray to 0 or 1."""
 
-    values: dict
+    __slots__ = ()
 
     def ones(self) -> tuple[Ray, ...]:
         return tuple(r for r, v in sorted(
             self.values.items(), key=lambda kv: kv[0].sort_key()) if v == 1)
 
 
-@dataclass(frozen=True)
-class ColoringViolation:
-    kind: str  # "edge" or "basis"
-    detail: str
+class ColoringViolation(namedtuple("ColoringViolation", "kind detail")):
+    """One broken constraint; `kind` is "edge" or "basis"."""
+
+    __slots__ = ()
 
 
 def verify_assignment(inst: KSInstance, f: Assignment) -> list[ColoringViolation]:
@@ -86,11 +85,8 @@ def verify_assignment(inst: KSInstance, f: Assignment) -> list[ColoringViolation
     return out
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    satisfiable: bool
-    assignment: Assignment | None
-    nodes: int
+class SearchResult(namedtuple("SearchResult", "satisfiable assignment nodes")):
+    __slots__ = ()
 
 
 def _bits(mask: int):
@@ -188,10 +184,8 @@ def find_ks_assignment(inst: KSInstance) -> SearchResult:
     return SearchResult(False, None, nodes)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    assignments: list[Assignment]
-    truncated: bool
+class EnumerationResult(namedtuple("EnumerationResult", "assignments truncated")):
+    __slots__ = ()
 
 
 def enumerate_ks_assignments(inst: KSInstance, cap: int = 100000) -> EnumerationResult:

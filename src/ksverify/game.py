@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .colorability import KSInstance
@@ -23,15 +23,14 @@ from .orthograph import dimacs_edges, max_independent_set
 from .rays import Basis, Ray, inner, is_orthogonal
 
 
-@dataclass(frozen=True)
-class Context:
-    """One (x, y) basis pair with its exact win/lose pattern."""
+class Context(namedtuple("Context", "x y shared_pairs orthogonal_pairs win_mask")):
+    """One (x, y) basis pair with its exact win/lose pattern.
 
-    x: int
-    y: int
-    shared_pairs: tuple[tuple[int, int], ...]  # (a, b) with equal rays
-    orthogonal_pairs: tuple[tuple[int, int], ...]  # (a, b) with orthogonal rays
-    win_mask: int  # bit 3*a+b set iff outputs (a, b) win
+    `shared_pairs` and `orthogonal_pairs` list the outputs (a, b) whose rays
+    are equal or orthogonal; bit 3*a+b of `win_mask` is set iff (a, b) wins.
+    """
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -45,11 +44,8 @@ class Context:
         return self.win_mask.bit_count()
 
 
-@dataclass(frozen=True, slots=True)
-class Game:
-    alice_bases: tuple[Basis, ...]
-    bob_bases: tuple[Basis, ...]
-    contexts: tuple[Context, ...]
+class Game(namedtuple("Game", "alice_bases bob_bases contexts")):
+    __slots__ = ()
 
     def n_contexts(self) -> int:
         return len(self.contexts)
@@ -134,18 +130,14 @@ def exclusivity_adjacency(events) -> list[int]:
     return adj
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(namedtuple("Strategy", "alice bob")):
     """Deterministic strategy: one output per input, for each party."""
 
-    alice: tuple[int, ...]
-    bob: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GameValue:
-    classical: Fraction
-    witness: Strategy | None
+class GameValue(namedtuple("GameValue", "classical witness")):
+    __slots__ = ()
 
 
 def play_out(g: Game, s: Strategy) -> int:
@@ -182,17 +174,17 @@ def classical_value(g: Game) -> GameValue:
 
 def classical_value_twolevel(g: Game) -> Fraction:
     """Max over Alice strategies; Bob's best reply decomposes per input y."""
-    ny = len(g.bob_bases)
+    nx, ny = len(g.alice_bases), len(g.bob_bases)
+    masks = [c.win_mask for c in g.contexts]  # read once: the loop below is hot
     best = 0
-    for alice in itertools.product(range(3), repeat=len(g.alice_bases)):
+    for alice in itertools.product(range(3), repeat=nx):
         total = 0
         for y in range(ny):
             best_y = 0
             for b in range(3):
                 won = 0
-                for x in range(len(g.alice_bases)):
-                    c = g.context(x, y)
-                    if c.win_mask >> (3 * alice[x] + b) & 1:
+                for x in range(nx):
+                    if masks[x * ny + y] >> (3 * alice[x] + b) & 1:
                         won += 1
                 best_y = max(best_y, won)
             total += best_y
@@ -259,13 +251,11 @@ def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None)
 # -- minimal input-cardinality search ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalSplitResult:
-    product: int | None
-    alice_bases: tuple[int, ...] | None  # indices into inst.bases
-    bob_bases: tuple[int, ...] | None
-    complete: bool
-    candidates_checked: int
+class MinimalSplitResult(namedtuple(
+        "MinimalSplitResult", "product alice_bases bob_bases complete candidates_checked")):
+    """`alice_bases` and `bob_bases` are indices into inst.bases."""
+
+    __slots__ = ()
 
     def split(self) -> str:
         if self.product is None:
@@ -381,8 +371,10 @@ def minimal_distribution_search(
     group, found by marking orbits in lex order.  For fixed X a refutable
     Y of size b exists iff some b bases meet every per-strategy
     unanswerable-basis set, so a small hitting-set decision gates the
-    lex-first scan for Y.
+    lex-first scan for Y.  A NaN or negative budget raises ValueError.
     """
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget {budget_seconds} is not a nonnegative number of seconds")
     nb = len(inst.basis_indices)
     if nb == 0:
         return MinimalSplitResult(None, None, None, True, 0)

@@ -8,7 +8,7 @@ so results stay certified: no external graph tools are called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rays import Ray, is_orthogonal
 
@@ -176,10 +176,10 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
 MAX_AUTOMORPHISMS = 10_000
 
 
-@dataclass(frozen=True)
-class AutGroupReport:
-    elements: tuple[tuple[int, ...], ...]  # every automorphism, sorted
-    orbits: tuple[tuple[int, ...], ...]
+class AutGroupReport(namedtuple("AutGroupReport", "elements orbits")):
+    """`elements` holds every automorphism, sorted; `orbits` the vertex orbits."""
+
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -11,7 +11,7 @@ of the same vector collapse to one Ray.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -112,11 +112,8 @@ def complete_basis_third(u: Ray, v: Ray) -> Ray:
     return Ray(tuple(c.conj() for c in cross))
 
 
-@dataclass(frozen=True)
-class BasisViolation:
-    index_a: int
-    index_b: int
-    product: Cyc
+class BasisViolation(namedtuple("BasisViolation", "index_a index_b product")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"pair ({self.index_a},{self.index_b}) has inner product {self.product}"

@@ -8,17 +8,15 @@ with no normalization factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import Cyc, omega
 from .rays import Ray, inner
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    label: str
-    entries: tuple[tuple[Cyc, Cyc, Cyc], ...]
+class GeneratorMatrix(namedtuple("GeneratorMatrix", "label entries")):
+    __slots__ = ()
 
 
 def _rows(values) -> tuple[tuple[Cyc, Cyc, Cyc], ...]:
@@ -62,12 +60,10 @@ def orbit_closure(seed, gens) -> tuple[Ray, ...]:
     return tuple(sorted(closed, key=Ray.sort_key))
 
 
-@dataclass(frozen=True)
-class SicReport:
-    is_sic: bool
-    rays: tuple[Ray, ...]
-    overlaps: tuple[tuple[Fraction, ...], ...]  # normalized |<u|v>|^2 table
-    failures: tuple[str, ...]
+class SicReport(namedtuple("SicReport", "is_sic rays overlaps failures")):
+    """`overlaps` is the table of normalized |<u|v>|^2."""
+
+    __slots__ = ()
 
 
 def is_sic_povm(rays) -> SicReport:

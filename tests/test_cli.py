@@ -1,6 +1,10 @@
 """CLI subcommands: reports, exit codes, determinism, expectation mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +353,10 @@ BAD_FILES = {
     ["game", "sym8.json"],
     ["minimal", "sym8.json"],
     ["table1", "--sets", "sym8.json"],
+    ["minimal", "new33", "--budget", "nan"],
+    ["minimal", "new33", "--budget", "-1"],
+    ["table1", "--sets", "new33", "--budget", "nan"],
+    ["table1", "--sets", "new33", "--budget", "-1"],
 ], ids=" ".join)
 def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():
@@ -362,3 +370,24 @@ def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    # ray 0: a first component of 100,000 triples, the last one short
+    set_file(rays=[[[[0, 1, 1]] * 100_000 + [[0, 1]], [], []]] + E123),
+    # ray 0: a list nested 980 deep, which the JSON parser still accepts
+    '{"name": "deep", "rays": [' + "[" * 980 + "]" * 980 + "]}",
+], ids=["long", "deep"])
+def test_bad_ray_error_line_is_short(text, tmp_path):
+    # a fresh process: a deep set file parses only near the bottom of the stack
+    path = tmp_path / "ray0.json"
+    path.write_text(text)
+    src = str(Path(catalog.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "ksverify.cli", "verify", str(path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_USAGE
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "ray 0" in proc.stderr
+    assert len(proc.stderr.encode()) < 300

@@ -146,3 +146,20 @@ def test_cnf_clause_counts():
     text = to_dimacs_cnf(inst)
     _, clauses = parse_dimacs_cnf(text)
     assert len(clauses) == inst.graph.edge_count() + len(inst.bases)
+
+
+@pytest.mark.parametrize("name", ["new33", "peres33", "conway31"])
+def test_every_ray_is_critical(name):
+    # Deleting a ray drops its edges and every basis through it; a KS subset
+    # with fewer bases would be a proper ray subset, so none exists.
+    inst = builtin(name)
+    rays = inst.graph.vertices
+    colorable = []
+    for v in range(len(rays)):
+        sub = KSInstance(f"{name}-{v}", rays[:v] + rays[v + 1:])
+        verdict = find_ks_assignment(sub).satisfiable
+        assert dpll_satisfiable(*parse_dimacs_cnf(to_dimacs_cnf(sub))) == verdict
+        colorable.append(verdict)
+    assert all(colorable)
+    for orbit in inst.graph.group.orbits:
+        assert len({colorable[v] for v in orbit}) == 1

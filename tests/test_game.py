@@ -65,6 +65,7 @@ def test_context_classification(game45):
     for c in game45.contexts:
         kinds.setdefault(c.kind, []).append(c)
     assert len(game45.contexts) == 45
+    assert all(game45.context(c.x, c.y) is c for c in game45.contexts)
     assert len(kinds["shared-vector"]) == 9
     assert len(kinds["orthogonal-pair"]) == 36
     for c in kinds["shared-vector"]:

@@ -1,0 +1,56 @@
+"""Result records: immutable named fields, and a CLI import that stays light."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ksverify
+from ksverify.colorability import (
+    Assignment, ColoringViolation, EnumerationResult, SearchResult)
+from ksverify.game import Context, Game, GameValue, MinimalSplitResult, Strategy
+from ksverify.orthograph import AutGroupReport
+from ksverify.rays import BasisViolation
+from ksverify.weylheisenberg import GeneratorMatrix, SicReport
+
+# every record with its fields, in constructor order
+RECORDS = {
+    BasisViolation: "index_a index_b product",
+    AutGroupReport: "elements orbits",
+    Assignment: "values",
+    ColoringViolation: "kind detail",
+    SearchResult: "satisfiable assignment nodes",
+    EnumerationResult: "assignments truncated",
+    Context: "x y shared_pairs orthogonal_pairs win_mask",
+    Game: "alice_bases bob_bases contexts",
+    Strategy: "alice bob",
+    GameValue: "classical witness",
+    MinimalSplitResult: "product alice_bases bob_bases complete candidates_checked",
+    GeneratorMatrix: "label entries",
+    SicReport: "is_sic rays overlaps failures",
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_fields_are_named_and_immutable(cls):
+    fields = RECORDS[cls].split()
+    values = {f: f"value of {f}" for f in fields}
+    record = cls(**values)
+    assert record == cls(*values.values())
+    for field, value in values.items():
+        assert getattr(record, field) == value
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    code = ("import sys; before = set(sys.modules); import ksverify.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(ksverify.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
