@@ -212,6 +212,8 @@ def load_set(path) -> KSInstance:
                 f"and {triple[v.index_b]} have inner product {_clip(str(v.product))}"
             )
     if problems:
+        if len(problems) > 3:  # keep the line short: name the first few
+            problems[3:] = [f"and {len(problems) - 3} more"]
         raise InvalidSetError(f"{path}: " + "; ".join(problems))
     return KSInstance(name, rays, notes=tuple(notes))
 

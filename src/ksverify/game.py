@@ -332,15 +332,19 @@ def _canonical_subsets(group, nb: int, size: int) -> list[tuple[int, ...]]:
 
     Subsets come in lex order, so one not marked by an earlier orbit
     minimum is the least of its own orbit; its images are then marked as
-    bitmasks.  A mark is dropped when its subset is reached.
+    bitmasks.  A mark is dropped when its subset is reached.  Masks are
+    sums in C: of the same combinations taken over the bit values, and
+    of a bit table per permutation p (bit p[i] at index i) for the images.
     """
+    bits = [1 << i for i in range(nb)]
+    images = [[bits[q] for q in p].__getitem__ for p in group]
     out = []
     marked: set[int] = set()
-    for comb in itertools.combinations(range(nb), size):
-        mask = sum(1 << i for i in comb)
+    masks = map(sum, itertools.combinations(bits, size))
+    for comb, mask in zip(itertools.combinations(range(nb), size), masks):
         if mask not in marked:
             out.append(comb)
-            marked.update(sum(1 << p[i] for i in comb) for p in group)
+            marked.update(map(sum, map(map, images, itertools.repeat(comb))))
         marked.discard(mask)
     return out
 
@@ -380,6 +384,7 @@ def minimal_distribution_search(
         return MinimalSplitResult(None, None, None, True, 0)
     group = _basis_permutation_group(inst, inst.graph.group.elements)
     W = _win_table(inst)
+    low_bits = [1 << 3 * j for j in range(nb)]  # basis j as a Bob-answer bit
     start = time.monotonic()
     checked = 0
     bad_cache: dict[tuple[int, ...], list[int] | None] = {}  # None: never refutable
@@ -404,8 +409,8 @@ def minimal_distribution_search(
                 bads = bad_cache[X]
                 if bads is None or not _hits(bads, b):
                     continue
-                for Y in itertools.combinations(range(nb), b):
-                    y_mask = sum(1 << 3 * j for j in Y)
-                    if all(s & y_mask for s in bads):
+                y_masks = map(sum, itertools.combinations(low_bits, b))
+                for Y, y_mask in zip(itertools.combinations(range(nb), b), y_masks):
+                    if all(map(y_mask.__and__, bads)):
                         return MinimalSplitResult(product, X, Y, True, checked)
     return MinimalSplitResult(None, None, None, True, checked)

@@ -3,7 +3,9 @@
 Vertices are canonical rays in a fixed deterministic order; edges join
 orthogonal pairs.  Everything downstream (complete bases, independence
 number, every element of the automorphism group) is computed in-process
-so results stay certified: no external graph tools are called.
+so results stay certified: no external graph tools are called.  The
+automorphism group comes from a stabilizer chain over a forward-checked
+backtrack: one search per new orbit point, not one leaf per element.
 """
 
 from __future__ import annotations
@@ -186,53 +188,108 @@ class AutGroupReport(namedtuple("AutGroupReport", "elements orbits")):
         return len(self.elements)
 
 
-def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations, in deterministic order.
+def _most_constrained(cand: list[int], unmapped: list[int]) -> int:
+    """The unmapped vertex with the fewest candidate images, lowest index on ties."""
+    return min(unmapped, key=lambda u: (cand[u].bit_count(), u))
 
-    Backtracking over vertex images: each vertex starts from the vertices
-    of its degree, the most-constrained vertex is mapped first, and every
-    choice is forward-checked against the rest.  Intended for the
-    catalog-scale graphs (tens of vertices, small groups): a group with
-    more than MAX_AUTOMORPHISMS elements raises ValueError.
+
+def _refine(adj, cand: list[int], rest: list[int], v: int, t: int) -> list[int] | None:
+    """Candidate images after mapping v to t, forward-checked; None on a wipe-out."""
+    new_cand = list(cand)
+    on, off = adj[t], ~adj[t] & ~(1 << t)
+    row = adj[v]
+    for u in rest:
+        new_cand[u] &= on if row >> u & 1 else off
+        if not new_cand[u]:
+            return None
+    return new_cand
+
+
+def _first_leaf(adj, cand: list[int], unmapped: list[int], image: list[int]):
+    """The first automorphism below a backtrack node, lowest images first, or None."""
+    if not unmapped:
+        return tuple(image)
+    v = _most_constrained(cand, unmapped)
+    rest = [u for u in unmapped if u != v]
+    m = cand[v]
+    while m:
+        tbit = m & -m
+        t = tbit.bit_length() - 1
+        m ^= tbit
+        new_cand = _refine(adj, cand, rest, v, t)
+        if new_cand is not None:
+            image[v] = t
+            leaf = _first_leaf(adj, new_cand, rest, image)
+            if leaf is not None:
+                return leaf
+    return None
+
+
+def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
+    """All adjacency-preserving vertex permutations, in sorted order.
+
+    A stabilizer chain over one forward-checked backtrack: each vertex
+    starts from the vertices of its degree, the most-constrained vertex is
+    mapped first, and each choice is checked against the rest.  Following
+    the identity down that backtrack gives the base points b_0, b_1, ...
+    Level i is the subgroup fixing b_0 .. b_{i-1}; levels are handled
+    deepest first.  For each candidate image t of b_i not yet in b_i's
+    orbit under the generators found so far, the first leaf of the
+    backtrack below b_i -> t (if any) is a new generator, and the orbit is
+    grown by applying every generator, keeping one coset representative
+    per orbit point.  The group is every product of one representative
+    per level.  The order (the product of the orbit sizes) is checked
+    before any element is built: above MAX_AUTOMORPHISMS raises ValueError.
     """
     n = len(adj)
     degrees = [m.bit_count() for m in adj]
-    base_cand = [sum(1 << u for u, du in enumerate(degrees) if du == d) for d in degrees]
-    found: list[tuple[int, ...]] = []
-    image = [-1] * n
-
-    def dfs(cand: list[int], unmapped: list[int]) -> None:
-        if not unmapped:
-            if len(found) == MAX_AUTOMORPHISMS:
-                raise ValueError(
-                    f"automorphism group has more than {MAX_AUTOMORPHISMS} elements")
-            found.append(tuple(image))
-            return
-        # most-constrained source vertex, lowest index on ties
-        v = min(unmapped, key=lambda u: (cand[u].bit_count(), u))
+    cand = [sum(1 << u for u, du in enumerate(degrees) if du == d) for d in degrees]
+    unmapped = list(range(n))
+    levels = []  # (b_i, candidate images before b_i is mapped, the rest), along the identity
+    while unmapped:
+        v = _most_constrained(cand, unmapped)
         rest = [u for u in unmapped if u != v]
-        m = cand[v]
+        levels.append((v, cand, rest))
+        cand, unmapped = _refine(adj, cand, rest, v, v), rest
+    identity = tuple(range(n))
+    generators: list[tuple[int, ...]] = []
+    order = 1
+    transversals = []  # coset representatives of each nontrivial level, deepest first
+    for v, level_cand, rest in reversed(levels):
+        reps = {v: identity}
+        orbit = [v]
+        m = level_cand[v] & ~(1 << v)
         while m:
             tbit = m & -m
             t = tbit.bit_length() - 1
             m ^= tbit
+            if t in reps:
+                continue
+            new_cand = _refine(adj, level_cand, rest, v, t)
+            if new_cand is None:
+                continue
+            image = list(identity)
             image[v] = t
-            new_cand = list(cand)
-            ok = True
-            for u in rest:
-                if adj[v] >> u & 1:
-                    new_cand[u] &= adj[t]
-                else:
-                    new_cand[u] &= ~adj[t] & ~tbit
-                if new_cand[u] == 0:
-                    ok = False
-                    break
-            if ok:
-                dfs(new_cand, rest)
-            image[v] = -1
-
-    dfs(base_cand, list(range(n)))
-    return sorted(found)
+            leaf = _first_leaf(adj, new_cand, rest, image)
+            if leaf is None:
+                continue
+            generators.append(leaf)
+            for x in orbit:  # grows while it is scanned
+                for g in generators:
+                    y = g[x]
+                    if y not in reps:
+                        if (len(orbit) + 1) * order > MAX_AUTOMORPHISMS:
+                            raise ValueError(
+                                f"automorphism group has more than {MAX_AUTOMORPHISMS} elements")
+                        reps[y] = tuple(map(g.__getitem__, reps[x]))
+                        orbit.append(y)
+        if len(orbit) > 1:
+            order *= len(orbit)
+            transversals.append(list(reps.values()))
+    elements = [identity]
+    for reps in transversals:  # g = r_0 r_1 ... r_k, the deepest level applied first
+        elements = [tuple(map(r.__getitem__, e)) for r in reps for e in elements]
+    return sorted(elements)
 
 
 def automorphisms(g: OrthoGraph) -> AutGroupReport:

@@ -2,15 +2,16 @@
 
 These deliberately avoid the algorithms used by the package (clique-cover
 branch and bound, basis-branching propagation search, exclusivity-graph
-independence, the symmetry-reduced split search, the automorphism
-backtracking): a memoized include/exclude recursion for independent sets,
-raw power-set scans for colorings, a plain DPLL that sees nothing but CNF
-clauses, plain Alice-strategy scans for refutable basis splits and their
+independence, the symmetry-reduced split search, the stabilizer-chain
+automorphism search): a memoized include/exclude recursion for independent
+sets, raw power-set scans for colorings, a plain DPLL that sees nothing but
+CNF clauses, plain Alice-strategy scans for refutable basis splits and their
 unanswerable Bob bases, a sort-every-image rule for orbit minima, a
-permutation scan, a product closure and a union-find for automorphism
+permutation scan, the full automorphism backtrack (every leaf, no
+stabilizer chain), a product closure and a union-find for automorphism
 groups, monomial maps applied to the rays themselves for a group found
-from the graph, and per-coefficient Fraction arithmetic with per-call Gaussian
-elimination for cyclotomic numbers.
+from the graph, and per-coefficient Fraction arithmetic with per-call
+Gaussian elimination for cyclotomic numbers.
 """
 
 from __future__ import annotations
@@ -147,6 +148,52 @@ def automorphisms_bruteforce(adj: list[int]) -> list[tuple[int, ...]]:
         p for p in permutations(range(n))
         if all(adj[p[i]] >> p[j] & 1 for i, j in edges)
     ]
+
+
+def automorphisms_backtrack(adj: list[int], cap: int = 10_000) -> list[tuple[int, ...]]:
+    """Every automorphism as a leaf of the full forward-checked backtrack, sorted.
+
+    The search `orthograph.enumerate_automorphisms` used before its
+    stabilizer chain: the same degree classes and most-constrained vertex
+    rule, but every leaf is visited.  More than `cap` leaves raises the
+    same ValueError as the package.
+    """
+    n = len(adj)
+    degrees = [m.bit_count() for m in adj]
+    base_cand = [sum(1 << u for u, du in enumerate(degrees) if du == d) for d in degrees]
+    found: list[tuple[int, ...]] = []
+    image = [-1] * n
+
+    def dfs(cand: list[int], unmapped: list[int]) -> None:
+        if not unmapped:
+            if len(found) == cap:
+                raise ValueError(f"automorphism group has more than {cap} elements")
+            found.append(tuple(image))
+            return
+        v = min(unmapped, key=lambda u: (cand[u].bit_count(), u))
+        rest = [u for u in unmapped if u != v]
+        m = cand[v]
+        while m:
+            tbit = m & -m
+            t = tbit.bit_length() - 1
+            m ^= tbit
+            image[v] = t
+            new_cand = list(cand)
+            ok = True
+            for u in rest:
+                if adj[v] >> u & 1:
+                    new_cand[u] &= adj[t]
+                else:
+                    new_cand[u] &= ~adj[t] & ~tbit
+                if new_cand[u] == 0:
+                    ok = False
+                    break
+            if ok:
+                dfs(new_cand, rest)
+            image[v] = -1
+
+    dfs(base_cand, list(range(n)))
+    return sorted(found)
 
 
 def monomial_symmetries(inst, phases) -> list[tuple[tuple[int, ...], bool]]:

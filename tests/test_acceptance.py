@@ -153,7 +153,17 @@ def test_criterion_07_minimality(new33):
     assert result.complete
     assert result.product == 45
     assert result.split() == "5-9"
+    assert tuple(result) == MINIMAL_SPLITS["new33"]
     ok(f"criterion 7: minimal refutable split 5-9 (product 45) in {elapsed:.1f}s")
+
+
+# (product, alice_bases, bob_bases, complete, candidates_checked) of each search
+MINIMAL_SPLITS = {
+    "new33": (45, (0, 10, 11, 12, 13), (1, 2, 3, 4, 5, 6, 7, 8, 9), True, 962),
+    "peres33": (63, (0, 8, 9, 12, 13, 14, 15), (1, 2, 3, 4, 5, 6, 7, 10, 11), True, 6426),
+    "conway31": (72, (1, 2, 3, 4, 5, 6, 9, 10), (0, 7, 8, 11, 12, 13, 14, 15, 16),
+                 True, 78843),
+}
 
 
 @pytest.mark.parametrize("name, split", [("peres33", "7-9"), ("conway31", "8-9")])
@@ -164,6 +174,7 @@ def test_criterion_07_legacy_split(name, split):
         pytest.skip(f"{name} data file not present")
     result = minimal_distribution_search(inst, budget_seconds=3600.0)
     assert result.complete and result.split() == split
+    assert tuple(result) == MINIMAL_SPLITS[name]
     X, Y = list(result.alice_bases), list(result.bob_bases)
     assert pair_is_refutable(inst, X, Y)
     for drop in range(len(Y)):

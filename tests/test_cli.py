@@ -391,3 +391,18 @@ def test_bad_ray_error_line_is_short(text, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "ray 0" in proc.stderr
     assert len(proc.stderr.encode()) < 300
+
+
+def test_many_problems_error_line_is_short(tmp_path, capsys):
+    # 2,000 copies of the ray (1,0,0): 1,999 duplicate pairs, of which 3 are named
+    path = tmp_path / "dups.json"
+    path.write_text(set_file(rays=E123[:1] * 2000))
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "rays 0 and 3 are the same projective ray" in err
+    assert "rays 0 and 4 " not in err
+    assert err.rstrip().endswith("; and 1996 more")
+    assert len(err.encode()) < 1024

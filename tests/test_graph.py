@@ -21,6 +21,7 @@ from ksverify.rays import Ray, validate_basis
 from oracles import (
     alpha_exhaustive,
     alpha_powerset,
+    automorphisms_backtrack,
     automorphisms_bruteforce,
     close_under_products,
     count_orthogonal_pairs,
@@ -196,8 +197,69 @@ def test_legacy_automorphism_orders():
 
 def test_enumerate_automorphisms_is_bounded():
     assert len(enumerate_automorphisms([0] * 7)) == 5040
-    with pytest.raises(ValueError, match="more than 10000"):
-        enumerate_automorphisms([0] * 8)
+    for n in (8, 33):
+        with pytest.raises(ValueError, match="more than 10000"):
+            enumerate_automorphisms([0] * n)
+
+
+def _graph(n, edges):
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _cycle(n):
+    return _graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+NAMED_GRAPHS = {
+    "C12": (_cycle(12), 24),
+    "C30": (_cycle(30), 60),
+    "Petersen": (_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                        + [(i, i + 5) for i in range(5)]
+                        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]), 120),
+    "K3,3": (_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]), 72),
+    "3K3": (_graph(9, [(3 * k + i, 3 * k + j) for k in range(3)
+                       for i, j in ((0, 1), (0, 2), (1, 2))]), 1296),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_GRAPHS)
+def test_stabilizer_chain_matches_backtrack_on_named_graphs(name):
+    adj, order = NAMED_GRAPHS[name]
+    elements = enumerate_automorphisms(adj)
+    assert len(elements) == order
+    assert elements == automorphisms_backtrack(adj)
+
+
+def test_stabilizer_chain_matches_backtrack_on_catalog_sets():
+    for name in ("new33", "peres33", "conway31", "yuoh13", "schuette33"):
+        try:
+            adj = list(builtin(name).graph.adj)
+        except FileNotFoundError:
+            continue
+        assert enumerate_automorphisms(adj) == automorphisms_backtrack(adj)
+
+
+def _group_or_cap(enumerate_, adj):
+    try:
+        return enumerate_(adj)
+    except ValueError as exc:
+        assert str(exc) == "automorphism group has more than 10000 elements"
+        return None
+
+
+def test_stabilizer_chain_matches_backtrack_on_random_graphs():
+    capped = 0
+    for seed in range(320):
+        n = 4 + seed % 9
+        adj = random_graph(n, 0.05 + 0.9 * (seed * 7 % 19) / 18, seed)
+        expected = _group_or_cap(automorphisms_backtrack, adj)
+        assert _group_or_cap(enumerate_automorphisms, adj) == expected
+        capped += expected is None
+    assert 0 < capped < 320
 
 
 def test_enumerate_automorphisms_is_a_group():
