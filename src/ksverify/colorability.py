@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .orthograph import build_graph, complete_bases
+from .orthograph import bits, build_graph, complete_bases
 from .rays import Basis, Ray
 
 
@@ -89,13 +89,6 @@ class SearchResult(namedtuple("SearchResult", "satisfiable assignment nodes")):
     __slots__ = ()
 
 
-def _bits(mask: int):
-    """Indices of the set bits of `mask`, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def close(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
     """The unit-propagation fixpoint of (ones, zeros), or None on a conflict.
 
@@ -108,7 +101,7 @@ def close(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
     """
     while True:
         before = ones, zeros
-        for v in _bits(ones):
+        for v in bits(ones):
             zeros |= adj[v]
         for basis in bases:
             one, free = basis & ones, basis & ~zeros
@@ -137,7 +130,7 @@ def _search_tree(adj, bases, ones: int = 0, zeros: int = 0):
         yield ones, zeros
         return
     yield None
-    for v in _bits(open_basis & ~zeros):
+    for v in bits(open_basis & ~zeros):
         child = close(adj, bases, ones | 1 << v, zeros)
         if child is None:
             yield None

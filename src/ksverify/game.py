@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .colorability import KSInstance
 from .cyclotomic import Cyc
-from .orthograph import dimacs_edges, max_independent_set
+from .orthograph import bits, dimacs_edges, max_independent_set
 from .rays import Basis, Ray, inner, is_orthogonal
 
 
@@ -101,13 +101,7 @@ def default_split(inst: KSInstance) -> tuple[list[int], list[int]]:
 
 def winning_events(g: Game) -> list[tuple[int, int, int, int]]:
     """(x, y, a, b) for every winning event, in deterministic order."""
-    out = []
-    for c in g.contexts:
-        for a in range(3):
-            for b in range(3):
-                if c.win_mask >> (3 * a + b) & 1:
-                    out.append((c.x, c.y, a, b))
-    return out
+    return [(c.x, c.y, *divmod(k, 3)) for c in g.contexts for k in bits(c.win_mask)]
 
 
 def exclusivity_adjacency(events) -> list[int]:
@@ -336,11 +330,11 @@ def _canonical_subsets(group, nb: int, size: int) -> list[tuple[int, ...]]:
     sums in C: of the same combinations taken over the bit values, and
     of a bit table per permutation p (bit p[i] at index i) for the images.
     """
-    bits = [1 << i for i in range(nb)]
-    images = [[bits[q] for q in p].__getitem__ for p in group]
+    bit_values = [1 << i for i in range(nb)]
+    images = [[bit_values[q] for q in p].__getitem__ for p in group]
     out = []
     marked: set[int] = set()
-    masks = map(sum, itertools.combinations(bits, size))
+    masks = map(sum, itertools.combinations(bit_values, size))
     for comb, mask in zip(itertools.combinations(range(nb), size), masks):
         if mask not in marked:
             out.append(comb)
@@ -356,12 +350,7 @@ def _hits(sets: list[int], k: int) -> bool:
     if k == 0:
         return False
     m = min(sets, key=lambda s: (s.bit_count(), s))
-    while m:
-        bit = m & -m
-        m ^= bit
-        if _hits([s for s in sets if not s & bit], k - 1):
-            return True
-    return False
+    return any(_hits([s for s in sets if not s >> j & 1], k - 1) for j in bits(m))
 
 
 def minimal_distribution_search(

@@ -6,6 +6,9 @@ number, every element of the automorphism group) is computed in-process
 so results stay certified: no external graph tools are called.  The
 automorphism group comes from a stabilizer chain over a forward-checked
 backtrack: one search per new orbit point, not one leaf per element.
+That search keeps an explicit stack, so graph size, not the recursion
+limit, bounds it.  `bits` is the one loop over the set bits of a mask,
+lowest first, for every bitmask search in the package.
 """
 
 from __future__ import annotations
@@ -52,15 +55,16 @@ class OrthoGraph:
         return edge_list(self.adj)
 
 
+def bits(mask: int):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def edge_list(adj) -> list[tuple[int, int]]:
     """Every edge (i, j), i < j, of an adjacency-bitmask graph, in index order."""
-    out = []
-    for i, row in enumerate(adj):
-        m = row >> (i + 1) << (i + 1)
-        while m:
-            out.append((i, (m & -m).bit_length() - 1))
-            m &= m - 1
-    return out
+    return [(i, j) for i, row in enumerate(adj) for j in bits(row >> (i + 1) << (i + 1))]
 
 
 def dimacs_edges(adj) -> str:
@@ -80,22 +84,9 @@ def build_graph(rays) -> OrthoGraph:
 
 def complete_bases(g: OrthoGraph) -> list[tuple[int, int, int]]:
     """All triangles (i, j, k), i < j < k, of the graph, in index order."""
-    out = []
-    for i in range(g.n):
-        above_i = g.adj[i] >> (i + 1) << (i + 1)
-        mi = above_i
-        while mi:
-            j = (mi & -mi).bit_length() - 1
-            mi &= mi - 1
-            common = g.adj[i] & g.adj[j]
-            common >>= j + 1
-            k = j + 1
-            while common:
-                if common & 1:
-                    out.append((i, j, k))
-                common >>= 1
-                k += 1
-    return out
+    adj = g.adj
+    return [(i, j, k) for i, j in edge_list(adj)
+            for k in bits(adj[i] & adj[j] >> (j + 1) << (j + 1))]
 
 
 # -- maximum independent set -------------------------------------------------
@@ -128,7 +119,6 @@ def max_independent_set(adj) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     classes = greedy_clique_cover(adj)
     k = len(classes)
-    # suffix class list for bound computation
     best_size = 0
     best_set: tuple[int, ...] = ()
     chosen: list[int] = []
@@ -146,14 +136,9 @@ def max_independent_set(adj) -> tuple[int, tuple[int, ...]]:
             best_size = size
             best_set = tuple(chosen)
             return
-        cands = classes[ci] & allowed
-        m = cands
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            m ^= lsb
+        for v in bits(classes[ci] & allowed):
             chosen.append(v)
-            dfs(ci + 1, allowed & ~adj[v] & ~lsb)
+            dfs(ci + 1, allowed & ~adj[v] & ~(1 << v))
             chosen.pop()
         dfs(ci + 1, allowed & ~classes[ci])
 
@@ -206,23 +191,28 @@ def _refine(adj, cand: list[int], rest: list[int], v: int, t: int) -> list[int] 
 
 
 def _first_leaf(adj, cand: list[int], unmapped: list[int], image: list[int]):
-    """The first automorphism below a backtrack node, lowest images first, or None."""
-    if not unmapped:
-        return tuple(image)
-    v = _most_constrained(cand, unmapped)
-    rest = [u for u in unmapped if u != v]
-    m = cand[v]
-    while m:
-        tbit = m & -m
-        t = tbit.bit_length() - 1
-        m ^= tbit
-        new_cand = _refine(adj, cand, rest, v, t)
-        if new_cand is not None:
-            image[v] = t
-            leaf = _first_leaf(adj, new_cand, rest, image)
-            if leaf is not None:
-                return leaf
-    return None
+    """The first automorphism below a backtrack node, lowest images first, or None.
+
+    Depth first over an explicit stack of (v, candidates, rest, images of v
+    not yet tried), so the depth is not bounded by the recursion limit.
+    """
+    stack = []
+    while unmapped:
+        v = _most_constrained(cand, unmapped)
+        unmapped = [u for u in unmapped if u != v]
+        stack.append((v, cand, unmapped, bits(cand[v])))
+        cand = None
+        while cand is None:  # the next viable child of the deepest node
+            if not stack:
+                return None
+            v, parent, unmapped, images = stack[-1]
+            t = next(images, None)
+            if t is None:
+                stack.pop()
+            else:
+                image[v] = t
+                cand = _refine(adj, parent, unmapped, v, t)
+    return tuple(image)
 
 
 def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
@@ -258,11 +248,7 @@ def enumerate_automorphisms(adj) -> list[tuple[int, ...]]:
     for v, level_cand, rest in reversed(levels):
         reps = {v: identity}
         orbit = [v]
-        m = level_cand[v] & ~(1 << v)
-        while m:
-            tbit = m & -m
-            t = tbit.bit_length() - 1
-            m ^= tbit
+        for t in bits(level_cand[v] & ~(1 << v)):
             if t in reps:
                 continue
             new_cand = _refine(adj, level_cand, rest, v, t)

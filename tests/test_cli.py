@@ -1,7 +1,9 @@
 """CLI subcommands: reports, exit codes, determinism, expectation mode."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,7 +64,12 @@ def test_game_report(capsys):
     assert "quantum value" in out and ": 1" in out
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_game_exports(tmp_path, capsys):
+    """The new33 event and edge order, byte for byte."""
     graph = tmp_path / "g.dimacs"
     legend = tmp_path / "g.legend"
     code, out = run(
@@ -71,7 +78,25 @@ def test_game_exports(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert graph.read_text().startswith("p edge 333 ")
-    assert legend.exists()
+    assert sha256(graph) == "58aa6b1857be1554286701f7eacf8f5c271f97d708b67f23ae386d3e908749b1"
+    assert sha256(legend) == "71802ac5a6ac753af309835f988de0a0b80ba3f2725793e9680239a0cb08ccf8"
+
+
+def test_verify_cnf_export(tmp_path, capsys):
+    """The new33 variable and clause order, byte for byte."""
+    cnf = tmp_path / "new33.cnf"
+    assert run(capsys, "verify", "new33", "--export-cnf", str(cnf))[0] == EXIT_OK
+    assert sha256(cnf) == "d459757f066c2cc956013c4c681691fe10fe29069330d07962e2b40cc0c938d4"
+
+
+def test_timing_adds_one_stderr_line(capsys):
+    assert main(["verify", "new33"]) == EXIT_OK
+    plain = capsys.readouterr()
+    assert main(["--timing", "verify", "new33"]) == EXIT_OK
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", timed.err)
 
 
 def test_game_with_explicit_split(capsys):

@@ -223,6 +223,35 @@ def test_no_smaller_product_is_refutable():
     assert pair_is_refutable(inst, X, Y + [extra])
 
 
+def test_new33_five_nine_split_is_unique():
+    """One 5-9 split refutes, and all 144 symmetries fix both of its sides.
+
+    Basis permutations come straight from the vertex permutations, the
+    canonical X from the sorted-image rule, the bad sets from a scan of
+    every Alice strategy, and each Y from a scan of all 9-subsets.
+    """
+    inst = builtin("new33")
+    bases = inst.basis_indices
+    index = {frozenset(t): k for k, t in enumerate(bases)}
+    group = {tuple(index[frozenset(p[v] for v in t)] for t in bases)
+             for p in inst.graph.group.elements}
+    assert len(group) == 144
+    reps = canonical_subsets_reference(group, 14, 5)
+    assert len(reps) == 51
+    refutable = []
+    for X in reps:
+        bads = bad_sets_bruteforce(inst, X)
+        if bads is None:
+            continue
+        refutable += [(X, Y) for Y in itertools.combinations(range(14), 9)
+                      if all(bad.intersection(Y) for bad in bads)]
+    X, Y = (0, 10, 11, 12, 13), tuple(range(1, 10))
+    assert refutable == [(X, Y)]
+    for p in group:
+        assert sorted(p[i] for i in X) == list(X)
+        assert sorted(p[j] for j in Y) == list(Y)
+
+
 def test_single_basis_has_no_refutable_split():
     from ksverify.colorability import KSInstance
 

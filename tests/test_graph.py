@@ -214,6 +214,13 @@ def _cycle(n):
     return _graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def test_enumerate_automorphisms_has_no_depth_limit():
+    """The first-leaf search maps one vertex per level, 1,100 levels deep here."""
+    n = 1100
+    path = _graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert enumerate_automorphisms(path) == [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+
+
 NAMED_GRAPHS = {
     "C12": (_cycle(12), 24),
     "C30": (_cycle(30), 60),
