@@ -16,6 +16,7 @@ import itertools
 import time
 from collections import namedtuple
 from fractions import Fraction
+from operator import or_
 
 from .colorability import KSInstance
 from .cyclotomic import Cyc
@@ -282,32 +283,43 @@ def _win_table(inst: KSInstance) -> list[list[int]]:
     ]
 
 
-def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
-    """The distinct masks of Bob bases unanswerable by Alice strategies on X, sorted.
+def _perfect_state(X: tuple[int, ...], W, low: int) -> int | None:
+    """Bob's winning answers left by the first perfect Alice strategy on X, or None.
 
-    Basis j is bit 3*j, which keeps the order of 1 << j masks; a DFS node
-    is one `&` with a W row.  None when some strategy answers every basis:
-    (X, anything) then has a perfect classical strategy.  A first DFS
-    decides that and drops a node once some basis has no winning answer
-    left, since `&` only clears bits and every leaf below is then bad;
-    only when it fails does a second DFS collect every leaf's bad set.
+    `low` has bit 3*j set for every Bob basis j.  A DFS node is one `&`
+    with a W row, and it is dropped once some basis has no winning answer
+    left, since `&` only clears bits and every leaf below it then loses.
     """
-    low = int("001" * nb, 2)  # bit 3*j for every basis j
     rows = [W[x] for x in X]
     depth = len(rows)
 
-    def perfect(pos: int, s: int) -> bool:
+    def first(pos: int, s: int) -> int | None:
         if ~(s | s >> 1 | s >> 2) & low:
-            return False
+            return None
         if pos == depth:
-            return True
+            return s
         for row in rows[pos]:
-            if perfect(pos + 1, s & row):
-                return True
-        return False
-
-    if perfect(0, 7 * low):
+            leaf = first(pos + 1, s & row)
+            if leaf is not None:
+                return leaf
         return None
+
+    return first(0, 7 * low)
+
+
+def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
+    """The distinct masks of Bob bases unanswerable by Alice strategies on X, sorted.
+
+    Basis j is bit 3*j, which keeps the order of 1 << j masks.  None when
+    `_perfect_state` finds a strategy that answers every basis: (X,
+    anything) then has a perfect classical strategy.  Only when it finds
+    none does a second DFS collect every leaf's bad set.
+    """
+    low = int("001" * nb, 2)  # bit 3*j for every basis j
+    if _perfect_state(X, W, low) is not None:
+        return None
+    rows = [W[x] for x in X]
+    depth = len(rows)
     bads: set[int] = set()
 
     def collect(pos: int, s: int) -> None:
@@ -321,26 +333,54 @@ def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
     return sorted(bads)
 
 
-def _canonical_subsets(group, nb: int, size: int) -> list[tuple[int, ...]]:
-    """The lex-least subset in each group orbit of size-subsets of range(nb), in order.
+def _subset(mask: int, nb: int) -> tuple[int, ...]:
+    """The bases of a level mask, ascending; basis i is bit nb-1-i."""
+    return tuple(nb - 1 - j for j in bits(mask))[::-1]
 
-    Subsets come in lex order, so one not marked by an earlier orbit
-    minimum is the least of its own orbit; its images are then marked as
-    bitmasks.  A mark is dropped when its subset is reached.  Masks are
-    sums in C: of the same combinations taken over the bit values, and
-    of a bit table per permutation p (bit p[i] at index i) for the images.
+
+def _levels(group, W, nb: int, out_of_time):
+    """The canonical subsets of range(nb) of each size 1, 2, ..., one level per size.
+
+    A level lists the lex-least subset of each group orbit, in lex order,
+    as (images, state) entries: the subset's masks under every group
+    permutation as a tuple (`group` is sorted, so the identity comes
+    first), and the Bob-answer state left by a perfect Alice strategy on
+    it, or None when it has none.  Basis i is bit nb-1-i, so among subsets
+    of one size the lex-least has the largest mask, and a subset is
+    canonical iff no image exceeds its own mask.  Removing the largest
+    basis keeps a subset canonical, so each level is the previous one's
+    entries extended by a larger basis, in order.  A child of a winnable
+    entry tries the entry's state with the new basis's 3 rows, and runs
+    its own DFS only when all 3 fail; a child of an unwinnable entry is
+    unwinnable.  A level is emptied while the next is built from it.
+    `out_of_time()` is asked after each entry; when true, the levels stop.
     """
-    bit_values = [1 << i for i in range(nb)]
-    images = [[bit_values[q] for q in p].__getitem__ for p in group]
-    out = []
-    marked: set[int] = set()
-    masks = map(sum, itertools.combinations(bit_values, size))
-    for comb, mask in zip(itertools.combinations(range(nb), size), masks):
-        if mask not in marked:
-            out.append(comb)
-            marked.update(map(sum, map(map, images, itertools.repeat(comb))))
-        marked.discard(mask)
-    return out
+    low = int("001" * nb, 2)
+    columns = [tuple(1 << nb - 1 - p[x] for p in group) for x in range(nb)]
+    level = [((0,) * len(group), 7 * low)]  # the empty subset
+    for _ in range(nb):
+        out = []
+        level.reverse()
+        while level:
+            images, state = level.pop()
+            mask = images[0]
+            for x in range(nb + 1 - (mask & -mask or 1 << nb).bit_length(), nb):
+                child = tuple(map(or_, images, columns[x]))
+                if max(child) != child[0]:
+                    continue
+                s = None
+                if state is not None:
+                    for row in W[x]:
+                        s = state & row
+                        if not ~(s | s >> 1 | s >> 2) & low:
+                            break
+                    else:
+                        s = _perfect_state(_subset(child[0], nb), W, low)
+                out.append((child, s))
+            if out_of_time():
+                return
+        yield out
+        level = out
 
 
 def _hits(sets: list[int], k: int) -> bool:
@@ -361,10 +401,17 @@ def minimal_distribution_search(
     Searches products in ascending order over subset pairs of the complete
     bases.  Only the smaller side X is enumerated (the win predicate is
     symmetric in the two parties), one subset per orbit of the basis
-    group, found by marking orbits in lex order.  For fixed X a refutable
-    Y of size b exists iff some b bases meet every per-strategy
-    unanswerable-basis set, so a small hitting-set decision gates the
-    lex-first scan for Y.  A NaN or negative budget raises ValueError.
+    group.  Size a is first needed at product a*a, so the sizes arrive in
+    order, and each is built once from the last (`_levels`): every
+    canonical X is grown from its canonical prefix and decided once, from
+    the prefix's perfect strategy.  Only the X with no perfect strategy
+    are kept, with their per-strategy unanswerable-basis sets.  A
+    refutable Y of size b exists iff some b bases meet every such set, so
+    a small hitting-set decision gates the lex-first scan for Y, and a
+    size class with no hit adds its count of canonical X to
+    `candidates_checked`.  The budget is checked once per (product, size)
+    and after each prefix while a level is built.  A NaN or negative
+    budget raises ValueError.
     """
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ValueError(f"budget {budget_seconds} is not a nonnegative number of seconds")
@@ -375,9 +422,13 @@ def minimal_distribution_search(
     W = _win_table(inst)
     low_bits = [1 << 3 * j for j in range(nb)]  # basis j as a Bob-answer bit
     start = time.monotonic()
+
+    def out_of_time() -> bool:
+        return budget_seconds is not None and time.monotonic() - start > budget_seconds
+
+    levels = _levels(group, W, nb, out_of_time)
+    classes = []  # per size: (canonical X count, [(index, X, bad sets)] with no perfect strategy)
     checked = 0
-    bad_cache: dict[tuple[int, ...], list[int] | None] = {}  # None: never refutable
-    canon_by_size: dict[int, list[tuple[int, ...]]] = {}
     for product in range(1, nb * nb + 1):
         for a in range(1, nb + 1):
             if product % a:
@@ -385,21 +436,27 @@ def minimal_distribution_search(
             b = product // a
             if a > b or b > nb:
                 continue
-            if a not in canon_by_size:
-                canon_by_size[a] = _canonical_subsets(group, nb, a)
-            for X in canon_by_size[a]:
-                if budget_seconds is not None and (
-                    time.monotonic() - start > budget_seconds
-                ):
+            if out_of_time():
+                return MinimalSplitResult(None, None, None, False, checked)
+            if a > len(classes):  # a == b: the first product that needs size a
+                level = next(levels, None)
+                if level is None:
                     return MinimalSplitResult(None, None, None, False, checked)
-                checked += 1
-                if X not in bad_cache:
-                    bad_cache[X] = _bad_sets_for(X, W, nb)
-                bads = bad_cache[X]
-                if bads is None or not _hits(bads, b):
+                unwinnable = []
+                for index, (images, state) in enumerate(level):
+                    if state is None:
+                        if out_of_time():
+                            return MinimalSplitResult(None, None, None, False, checked)
+                        X = _subset(images[0], nb)
+                        unwinnable.append((index, X, _bad_sets_for(X, W, nb)))
+                classes.append((len(level), unwinnable))
+            count, unwinnable = classes[a - 1]
+            for index, X, bads in unwinnable:
+                if not _hits(bads, b):
                     continue
                 y_masks = map(sum, itertools.combinations(low_bits, b))
                 for Y, y_mask in zip(itertools.combinations(range(nb), b), y_masks):
                     if all(map(y_mask.__and__, bads)):
-                        return MinimalSplitResult(product, X, Y, True, checked)
+                        return MinimalSplitResult(product, X, Y, True, checked + index + 1)
+            checked += count
     return MinimalSplitResult(None, None, None, True, checked)

@@ -112,7 +112,9 @@ def max_independent_set(adj) -> tuple[int, tuple[int, ...]]:
     The bound is the number of not-yet-processed cover cliques that still
     intersect the allowed set (each clique contributes at most one vertex).
     Branching order is fixed, so the returned witness is deterministic:
-    the first optimum reached in that order.
+    the first optimum reached in that order.  The depth-first search keeps
+    an explicit stack, so the number of cliques is not bounded by the
+    recursion limit.
     """
     n = len(adj)
     if n == 0:
@@ -120,29 +122,28 @@ def max_independent_set(adj) -> tuple[int, tuple[int, ...]]:
     classes = greedy_clique_cover(adj)
     k = len(classes)
     best_size = 0
-    best_set: tuple[int, ...] = ()
-    chosen: list[int] = []
-
-    def dfs(ci: int, allowed: int) -> None:
-        nonlocal best_size, best_set
-        size = len(chosen)
+    best_chain = None
+    # (class index, allowed vertices, size, chosen vertices as a (v, rest) chain);
+    # children are pushed in reverse, so they are visited in branching order
+    stack = [(0, (1 << n) - 1, 0, None)]
+    while stack:
+        ci, allowed, size, chain = stack.pop()
         rem = 0
         for j in range(ci, k):
             if classes[j] & allowed:
                 rem += 1
         if size + rem <= best_size:
-            return
+            continue
         if ci == k:
-            best_size = size
-            best_set = tuple(chosen)
-            return
-        for v in bits(classes[ci] & allowed):
-            chosen.append(v)
-            dfs(ci + 1, allowed & ~adj[v] & ~(1 << v))
-            chosen.pop()
-        dfs(ci + 1, allowed & ~classes[ci])
-
-    dfs(0, (1 << n) - 1)
+            best_size, best_chain = size, chain
+            continue
+        stack.append((ci + 1, allowed & ~classes[ci], size, chain))
+        stack += reversed([(ci + 1, allowed & ~adj[v] & ~(1 << v), size + 1, (v, chain))
+                           for v in bits(classes[ci] & allowed)])
+    best_set = []
+    while best_chain is not None:
+        v, best_chain = best_chain
+        best_set.append(v)
     return best_size, tuple(sorted(best_set))
 
 

@@ -200,6 +200,14 @@ def test_table1(capsys):
     assert "skipped penrose33" in out
 
 
+def test_table1_minimal_all(capsys):
+    code, out = run(capsys, "--expect-paper", "table1", "--minimal", "all")
+    assert code == EXIT_OK
+    rows = {f[0]: f[-1] for f in map(str.split, out.splitlines())
+            if f and f[0] in ("conway31", "peres33", "new33")}
+    assert rows == {"conway31": "8-9", "peres33": "7-9", "new33": "5-9"}
+
+
 def test_table1_keys_rows_by_set_name(tmp_path, capsys):
     from ksverify.catalog import builtin, save_set
     from ksverify.colorability import KSInstance

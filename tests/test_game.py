@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from ksverify.cyclotomic import omega
 from ksverify.game import (
     _bad_sets_for,
     _basis_permutation_group,
-    _canonical_subsets,
     _hits,
+    _levels,
+    _subset,
     _win_table,
     build_game,
     classical_value,
@@ -35,6 +37,7 @@ from oracles import (
     bad_sets_bruteforce,
     best_strategy_pairs,
     canonical_subsets_reference,
+    close_under_products,
     pair_is_refutable,
     parse_dimacs_edges,
 )
@@ -353,11 +356,73 @@ def test_bad_sets_match_leaf_scan_on_synthetic_tables(table):
     assert _bad_sets_for(tuple(range(len(rows))), rows, nb) == expected
 
 
+def _level_subsets(group, table, nb: int):
+    """Each level of the split search as [(X, state)], read before the next is built."""
+    for level in _levels(group, table, nb, lambda: False):
+        yield [(_subset(images[0], nb), state) for images, state in level]
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
-def test_canonical_subsets_match_sorted_image_rule(name):
+def test_levels_match_sorted_image_rule(name):
     inst = builtin(name)
     nb = len(inst.basis_indices)
     group = _basis_permutation_group(inst, automorphisms(inst.graph).elements)
-    for size in range(nb + 1):
-        assert _canonical_subsets(group, nb, size) == canonical_subsets_reference(
-            group, nb, size), size
+    sizes = 0
+    for size, level in enumerate(_level_subsets(group, _win_table(inst), nb), 1):
+        assert [X for X, _ in level] == canonical_subsets_reference(group, nb, size), size
+        sizes += 1
+    assert sizes == nb
+
+
+@st.composite
+def permutation_groups(draw):
+    """A sorted permutation group on range(n), n <= 6, closed from up to 3 generators."""
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return n, sorted(close_under_products([tuple(g) for g in gens], n))
+
+
+@given(permutation_groups())
+def test_levels_match_sorted_image_rule_on_random_groups(case):
+    nb, group = case
+    table = [[7 * int("001" * nb, 2)] * 3] * nb  # every answer wins
+    for size, level in enumerate(_level_subsets(group, table, nb), 1):
+        assert [X for X, _ in level] == canonical_subsets_reference(group, nb, size), size
+
+
+# canonical X up to the split size with no perfect Alice strategy
+UNWINNABLE_COUNTS = {"new33": 1, "peres33": 1, "conway31": 4}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
+def test_prefix_states_decide_every_canonical_x(name):
+    """A state from the prefix's strategy, or a DFS, is None iff X has bad sets."""
+    inst = builtin(name)
+    nb = len(inst.basis_indices)
+    low = int("001" * nb, 2)
+    table = _win_table(inst)
+    group = _basis_permutation_group(inst, inst.graph.group.elements)
+    unwinnable = []
+    for size, level in enumerate(_level_subsets(group, table, nb), 1):
+        if size > len(SPLIT_ALICE[name]):
+            break
+        for X, state in level:
+            assert (state is None) == (_bad_sets_for(X, table, nb) is not None), X
+            if state is None:
+                unwinnable.append(X)
+            else:  # every Bob basis keeps a winning answer
+                assert not ~(state | state >> 1 | state >> 2) & low, X
+    assert len(unwinnable) == UNWINNABLE_COUNTS[name]
+    assert SPLIT_ALICE[name] in unwinnable
+    if name == "conway31":
+        assert unwinnable == CONWAY31_UNWINNABLE
+
+
+def test_budget_stops_the_search_midway():
+    inst = builtin("conway31")
+    inst.graph.group  # enumerated before the budget starts
+    start = time.monotonic()
+    result = minimal_distribution_search(inst, budget_seconds=0.02)
+    assert time.monotonic() - start < 2.0
+    assert not result.complete
+    assert result.candidates_checked > 0  # stopped after some sizes were counted

@@ -108,6 +108,11 @@ def test_independence_small_graphs():
     assert max_independent_set([])[0] == 0
 
 
+def test_max_independent_set_has_no_depth_limit():
+    """1,100 isolated vertices are 1,100 clique classes, one search level each."""
+    assert max_independent_set([0] * 1100) == (1100, tuple(range(1100)))
+
+
 def test_clique_cover_is_partition():
     adj = random_graph(12, 0.5, seed=7)
     classes = greedy_clique_cover(adj)
