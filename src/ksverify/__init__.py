@@ -10,7 +10,6 @@ from .catalog import builtin, load_set, save_set, serialize
 from .colorability import (
     Assignment,
     KSInstance,
-    enumerate_ks_assignments,
     find_ks_assignment,
     verify_assignment,
 )
@@ -28,12 +27,10 @@ from .orthograph import (
     automorphisms,
     build_graph,
     complete_bases,
-    independence_number,
 )
 from .rays import (
     Basis,
     Ray,
-    complete_basis_third,
     inner,
     is_orthogonal,
     parse_ray,
@@ -56,12 +53,9 @@ __all__ = [
     "builtin",
     "classical_value",
     "complete_bases",
-    "complete_basis_third",
-    "enumerate_ks_assignments",
     "export_majorana",
     "find_ks_assignment",
     "generator",
-    "independence_number",
     "inner",
     "is_orthogonal",
     "is_sic_povm",

@@ -92,11 +92,6 @@ def yuoh13_rays() -> list[Ray]:
     ]
 
 
-def yuoh_h_rays() -> list[Ray]:
-    """The four rays in no complete basis of the 13-ray set."""
-    return [_ray(1, 1, 1), _ray(1, 1, -1), _ray(1, -1, 1), _ray(-1, 1, 1)]
-
-
 def data_dir() -> Path:
     override = os.environ.get(DATA_DIR_ENV)
     if override:
@@ -151,6 +146,8 @@ def load_set(path) -> KSInstance:
             doc = json.load(fh)
         except RecursionError:
             raise InvalidSetError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidSetError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidSetError(f"{path}: not a JSON object")
     name = doc.get("name", path.stem)

@@ -10,7 +10,6 @@ is exhaustive, so UNSAT answers are certificates.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 from .orthograph import bits, build_graph, complete_bases
@@ -34,9 +33,6 @@ class KSInstance:
 
     def __setattr__(self, name, value):
         raise AttributeError("KSInstance is immutable")
-
-    def ray_set(self) -> frozenset[Ray]:
-        return frozenset(self.graph.vertices)
 
     def __repr__(self) -> str:
         return (
@@ -138,22 +134,6 @@ def _search_tree(adj, bases, ones: int = 0, zeros: int = 0):
             yield from _search_tree(adj, bases, *child)
 
 
-def _completions(adj, bases, ones: int, zeros: int):
-    """Yield the ones mask of each total assignment extending (ones, zeros).
-
-    The lowest free ray gets 0 before 1.
-    """
-    free = ~(ones | zeros) & ((1 << len(adj)) - 1)
-    if not free:
-        yield ones
-        return
-    bit = free & -free
-    for child in ((ones, zeros | bit), (ones | bit, zeros)):
-        child = close(adj, bases, *child)
-        if child is not None:
-            yield from _completions(adj, bases, *child)
-
-
 def _search_data(inst: KSInstance):
     """The orthogonality rows and the basis bitmasks of `inst`."""
     return inst.graph.adj, [sum(1 << t for t in triple) for triple in inst.basis_indices]
@@ -175,22 +155,6 @@ def find_ks_assignment(inst: KSInstance) -> SearchResult:
             # all bases carry a 1; free rays get 0 (edges stay satisfied)
             return SearchResult(True, _checked_assignment(inst, leaf[0]), nodes)
     return SearchResult(False, None, nodes)
-
-
-class EnumerationResult(namedtuple("EnumerationResult", "assignments truncated")):
-    __slots__ = ()
-
-
-def enumerate_ks_assignments(inst: KSInstance, cap: int = 100000) -> EnumerationResult:
-    """All valid assignments in deterministic order, up to `cap`."""
-    adj, bases = _search_data(inst)
-    found = (
-        _checked_assignment(inst, ones)
-        for leaf in _search_tree(adj, bases) if leaf is not None
-        for ones in _completions(adj, bases, *leaf)
-    )
-    out = list(itertools.islice(found, cap + 1))  # one extra detects truncation
-    return EnumerationResult(out[:cap], len(out) > cap)
 
 
 def to_dimacs_cnf(inst: KSInstance) -> str:

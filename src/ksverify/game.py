@@ -51,9 +51,6 @@ class Game(namedtuple("Game", "alice_bases bob_bases contexts")):
     def n_contexts(self) -> int:
         return len(self.contexts)
 
-    def context(self, x: int, y: int) -> Context:
-        return self.contexts[x * len(self.bob_bases) + y]
-
     def total_winning_events(self) -> int:
         return sum(c.wins() for c in self.contexts)
 
@@ -307,30 +304,32 @@ def _perfect_state(X: tuple[int, ...], W, low: int) -> int | None:
     return first(0, 7 * low)
 
 
-def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int] | None:
-    """The distinct masks of Bob bases unanswerable by Alice strategies on X, sorted.
+def _bad_sets_for(X: tuple[int, ...], W, nb: int) -> list[int]:
+    """The inclusion-minimal masks of Bob bases unanswerable by Alice strategies on X, sorted.
 
-    Basis j is bit 3*j, which keeps the order of 1 << j masks.  None when
-    `_perfect_state` finds a strategy that answers every basis: (X,
-    anything) then has a perfect classical strategy.  Only when it finds
-    none does a second DFS collect every leaf's bad set.
+    Basis j is bit 3*j, which keeps the order of 1 << j masks.  A node's
+    bad set (the bases with no winning answer left) only grows below it,
+    so one DFS cuts a branch once a set already found lies inside that
+    node's bad set; a leaf that gets through replaces the found sets
+    containing it.  [0] when some strategy answers every basis: (X,
+    anything) then has a perfect classical strategy.
     """
     low = int("001" * nb, 2)  # bit 3*j for every basis j
-    if _perfect_state(X, W, low) is not None:
-        return None
-    rows = [W[x] for x in X]
-    depth = len(rows)
-    bads: set[int] = set()
+    found: list[int] = []
 
     def collect(pos: int, s: int) -> None:
-        if pos == depth:
-            bads.add(~(s | s >> 1 | s >> 2) & low)
+        bad = ~(s | s >> 1 | s >> 2) & low
+        for f in found:
+            if not f & ~bad:
+                return
+        if pos == len(X):
+            found[:] = [f for f in found if bad & ~f] + [bad]
             return
-        for row in rows[pos]:
+        for row in W[X[pos]]:
             collect(pos + 1, s & row)
 
     collect(0, 7 * low)
-    return sorted(bads)
+    return sorted(found)
 
 
 def _subset(mask: int, nb: int) -> tuple[int, ...]:
@@ -405,7 +404,8 @@ def minimal_distribution_search(
     order, and each is built once from the last (`_levels`): every
     canonical X is grown from its canonical prefix and decided once, from
     the prefix's perfect strategy.  Only the X with no perfect strategy
-    are kept, with their per-strategy unanswerable-basis sets.  A
+    are kept, with their inclusion-minimal unanswerable-basis sets (a Y
+    meets every strategy's set iff it meets the minimal ones).  A
     refutable Y of size b exists iff some b bases meet every such set, so
     a small hitting-set decision gates the lex-first scan for Y, and a
     size class with no hit adds its count of canonical X to

@@ -48,9 +48,6 @@ class OrthoGraph:
             object.__setattr__(self, "_group", automorphisms(self))
         return self._group
 
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         return edge_list(self.adj)
 
@@ -145,16 +142,6 @@ def max_independent_set(adj) -> tuple[int, tuple[int, ...]]:
         v, best_chain = best_chain
         best_set.append(v)
     return best_size, tuple(sorted(best_set))
-
-
-def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
-    """(alpha, witness vertex indices); the witness is verified independent."""
-    alpha, witness = max_independent_set(g.adj)
-    for a in witness:
-        for b in witness:
-            if a != b and g.adj[a] >> b & 1:
-                raise AssertionError("witness is not independent")
-    return alpha, witness
 
 
 # -- automorphism group --------------------------------------------------------

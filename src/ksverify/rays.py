@@ -76,11 +76,6 @@ class Ray:
     def __repr__(self) -> str:
         return f"Ray{self}"
 
-    def scaled(self, scalar) -> "Ray":
-        """Same projective ray, rebuilt from scaled components."""
-        s = Cyc._as_cyc(scalar)
-        return Ray(tuple(s * c for c in self.components))
-
 
 def inner(v: Ray, u: Ray) -> Cyc:
     """Hermitian inner product <v|u> = sum conj(v_j) u_j on stored components."""
@@ -92,24 +87,6 @@ def inner(v: Ray, u: Ray) -> Cyc:
 
 def is_orthogonal(u: Ray, v: Ray) -> bool:
     return inner(u, v).is_zero()
-
-
-def complete_basis_third(u: Ray, v: Ray) -> Ray:
-    """The unique ray orthogonal to two orthogonal rays.
-
-    Componentwise conjugate of the bilinear cross product, canonicalized.
-    """
-    if not is_orthogonal(u, v):
-        raise ValueError(
-            f"rays are not orthogonal: <{u}|{v}> = {inner(u, v)}"
-        )
-    a, b = u.components, v.components
-    cross = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-    return Ray(tuple(c.conj() for c in cross))
 
 
 class BasisViolation(namedtuple("BasisViolation", "index_a index_b product")):

@@ -1,16 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-def builtin_or_skip(name: str):
-    """Load a builtin set, skipping the test if its data file is absent."""
-    from ksverify.catalog import builtin
-
-    try:
-        return builtin(name)
-    except FileNotFoundError as exc:
-        pytest.skip(str(exc))

@@ -87,6 +87,13 @@ def ks_assignments_powerset(inst) -> list[int]:
     return out
 
 
+def scale_ray(r, s):
+    """The ray `r` rebuilt from its components times the scalar `s`."""
+    from ksverify.rays import Ray
+
+    return Ray(s * c for c in r.components)
+
+
 def count_orthogonal_pairs(rays) -> int:
     from ksverify.rays import is_orthogonal
 

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from ksverify.catalog import builtin, yuoh_h_rays
+from ksverify.catalog import builtin
 from ksverify.colorability import (
+    Assignment,
     KSInstance,
-    enumerate_ks_assignments,
     find_ks_assignment,
     to_dimacs_cnf,
     verify_assignment,
@@ -43,6 +43,7 @@ from oracles import (
     pair_is_refutable,
     parse_dimacs_cnf,
     random_graph,
+    scale_ray,
 )
 
 
@@ -186,9 +187,9 @@ def test_criterion_08_generation(new33):
     yuoh = builtin("yuoh13")
     X, Z = generator("X"), generator("Z")
     under_x = orbit_closure(yuoh.graph.vertices, [X])
-    assert set(under_x) == yuoh.ray_set()
+    assert set(under_x) == frozenset(yuoh.graph.vertices)
     under_z = orbit_closure(yuoh.graph.vertices, [Z])
-    assert set(under_z) == new33.ray_set()
+    assert set(under_z) == frozenset(new33.graph.vertices)
     ok("criterion 8: X-closure of yuoh13 = yuoh13; Z-closure = new33, exactly")
 
 
@@ -199,8 +200,8 @@ def test_criterion_09_sic_povms(new33):
     assert plus.is_sic and len(plus.rays) == 9
     assert minus.is_sic and len(minus.rays) == 9
     assert set(plus.rays) != set(minus.rays)
-    assert set(plus.rays) <= new33.ray_set()
-    assert set(minus.rays) <= new33.ray_set()
+    assert set(plus.rays) <= frozenset(new33.graph.vertices)
+    assert set(minus.rays) <= frozenset(new33.graph.vertices)
     ok("criterion 9: both {X,Z} orbits are 9-ray SIC-POVMs and are distinct ray sets")
 
 
@@ -230,14 +231,16 @@ def test_criterion_10_legacy_rows(name):
 
 def test_criterion_11_yuoh_assignments():
     inst = builtin("yuoh13")
-    result = enumerate_ks_assignments(inst)
-    assert not result.truncated
-    assert result.assignments
-    hs = yuoh_h_rays()
-    assert all(sum(f.values[h] for h in hs) <= 1 for f in result.assignments)
-    for f in result.assignments:
+    masks = ks_assignments_powerset(inst)
+    assert len(masks) == 24
+    in_bases = set().union(*inst.basis_indices)
+    hs = [v for v in range(inst.graph.n) if v not in in_bases]  # the four h-rays
+    assert len(hs) == 4
+    assert all(sum(mask >> h & 1 for h in hs) <= 1 for mask in masks)
+    for mask in masks:
+        f = Assignment({r: mask >> i & 1 for i, r in enumerate(inst.graph.vertices)})
         assert verify_assignment(inst, f) == []
-    ok(f"criterion 11: yuoh13 admits {len(result.assignments)} assignments, "
+    ok(f"criterion 11: yuoh13 admits {len(masks)} assignments, "
        "each with at most one 1 among the four h-rays")
 
 
@@ -268,7 +271,7 @@ def test_criterion_12_majorana(new33):
     for r in new33.graph.vertices[:8]:
         base = majorana_points(r)
         for scalar in (w, -2):
-            scaled = majorana_points(r.scaled(scalar))
+            scaled = majorana_points(scale_ray(r, scalar))
             assert close(base[0], scaled[0], 1e-9) and close(base[1], scaled[1], 1e-9)
     ok("criterion 12: 66 points; pole anchors exact to 1e-12; 33 distinct pairs "
        "(1e-6); phase invariance (1e-9)")
@@ -300,18 +303,12 @@ def test_criterion_13b_colorability_oracle():
         rays = rng.sample(pool, size)
         inst = KSInstance(f"oracle{trial}", rays)
         expected_masks = set(ks_assignments_powerset(inst))
-        found = enumerate_ks_assignments(inst, cap=1 << 16)
-        assert not found.truncated
-        order = {r: i for i, r in enumerate(inst.graph.vertices)}
-        masks = set()
-        for f in found.assignments:
-            mask = 0
-            for r, v in f.values.items():
-                if v:
-                    mask |= 1 << order[r]
-            masks.add(mask)
-        assert masks == expected_masks
-        assert find_ks_assignment(inst).satisfiable == bool(expected_masks)
+        result = find_ks_assignment(inst)
+        assert result.satisfiable == bool(expected_masks)
+        if result.satisfiable:
+            mask = sum(result.assignment.values[r] << i
+                       for i, r in enumerate(inst.graph.vertices))
+            assert mask in expected_masks
     ok("criterion 13b: colorability search matches 2^|V| brute force on "
        "12 instances with <= 15 rays")
 

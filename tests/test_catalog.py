@@ -38,7 +38,7 @@ def test_new33_contains_corrected_x3_basis():
     inst = builtin("new33")
     corrected = {ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, -W, 1)}
     assert any(set(b) == corrected for b in inst.bases)
-    assert ray(W**2, W, 1) in inst.ray_set()  # still present, via x=1
+    assert ray(W**2, W, 1) in inst.graph.vertices  # still present, via x=1
     # the printed x=3 third vector as a triple is not a basis of the set
     printed = {ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, W, 1)}
     assert not any(set(b) == printed for b in inst.bases)
@@ -48,7 +48,7 @@ def test_yuoh13_subset_of_new33():
     yuoh = builtin("yuoh13")
     new33 = builtin("new33")
     assert yuoh.graph.n == 13
-    assert yuoh.ray_set() <= new33.ray_set()
+    assert frozenset(yuoh.graph.vertices) <= frozenset(new33.graph.vertices)
 
 
 def test_orbit_partition_matches_basis_types():
@@ -101,7 +101,7 @@ def test_roundtrip_serialization(tmp_path):
     path = tmp_path / "new33.json"
     save_set(inst, path, provenance="roundtrip test")
     loaded = load_set(path)
-    assert loaded.ray_set() == inst.ray_set()
+    assert frozenset(loaded.graph.vertices) == frozenset(inst.graph.vertices)
     assert len(loaded.bases) == len(inst.bases)
     assert loaded.name == "new33"
 
@@ -110,7 +110,7 @@ def test_roundtrip_conductor24(tmp_path):
     inst = builtin("peres33")
     path = tmp_path / "p.json"
     save_set(inst, path)
-    assert load_set(path).ray_set() == inst.ray_set()
+    assert frozenset(load_set(path).graph.vertices) == frozenset(inst.graph.vertices)
 
 
 def test_file_redeclaring_new33_equals_builtin(tmp_path):
@@ -136,7 +136,7 @@ def test_file_redeclaring_new33_equals_builtin(tmp_path):
     path = tmp_path / "mine.json"
     path.write_text(json.dumps(doc))
     inst = load_set(path)
-    assert inst.ray_set() == builtin("new33").ray_set()
+    assert frozenset(inst.graph.vertices) == frozenset(builtin("new33").graph.vertices)
 
 
 def test_single_basis_file(tmp_path):
@@ -210,7 +210,7 @@ def test_summary_table_renders_deterministically():
 
 
 def test_yuoh13_rays_helper_matches_builtin():
-    assert frozenset(yuoh13_rays()) == builtin("yuoh13").ray_set()
+    assert frozenset(yuoh13_rays()) == frozenset(builtin("yuoh13").graph.vertices)
 
 
 json_values = st.recursive(

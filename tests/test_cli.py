@@ -318,6 +318,7 @@ def set_file(**fields):
 
 BAD_FILES = {
     "bad.json": "{bad",
+    "latin1.json": b"\xff{}",
     "list.json": "[]",
     "dup.json": json.dumps({
         "name": "dup", "conductor": 1,
@@ -349,6 +350,7 @@ BAD_FILES = {
 
 @pytest.mark.parametrize("argv", [
     ["verify", "bad.json"],
+    ["verify", "latin1.json"],
     ["verify", "list.json"],
     ["verify", "dup.json"],
     ["verify", "basis7.json"],
@@ -393,7 +395,10 @@ BAD_FILES = {
 ], ids=" ".join)
 def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    # an error in a set file starts with the file's path
+    is_set_file = argv[0] == "verify" and argv[1] in BAD_FILES
+    prefix = f"error: {tmp_path / argv[1]}: " if is_set_file else "error: "
     # "." is the temporary directory itself; nodir/ does not exist in it
     argv = [str(tmp_path / a) if a in BAD_FILES or a == "." or a.startswith("nodir/")
             else a for a in argv]
@@ -401,7 +406,7 @@ def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
+    assert err.startswith(prefix)
     assert "Traceback" not in err
 
 

@@ -1,14 +1,14 @@
 """KS colorability search against direct power-set enumeration."""
 
+import itertools
 import random
 
 import pytest
 
-from ksverify.catalog import builtin, yuoh_h_rays
+from ksverify.catalog import builtin
 from ksverify.colorability import (
     Assignment,
     KSInstance,
-    enumerate_ks_assignments,
     find_ks_assignment,
     to_dimacs_cnf,
     verify_assignment,
@@ -33,6 +33,14 @@ def assignment_for(inst, ones):
     return Assignment({r: (1 if r in ones else 0) for r in inst.graph.vertices})
 
 
+def found_mask(inst):
+    """The ones mask of the search's assignment, or None when it reports UNSAT."""
+    result = find_ks_assignment(inst)
+    if not result.satisfiable:
+        return None
+    return sum(result.assignment.values[r] << i for i, r in enumerate(inst.graph.vertices))
+
+
 def test_verify_assignment_examples():
     inst = triangle_instance()
     e3 = ray(0, 0, 1)
@@ -54,15 +62,9 @@ def test_verify_requires_total_assignment():
 
 
 def test_single_basis_enumeration():
-    result = enumerate_ks_assignments(triangle_instance())
-    assert len(result.assignments) == 3
-    assert not result.truncated
-
-
-def test_truncation_flag():
-    result = enumerate_ks_assignments(builtin("yuoh13"), cap=5)
-    assert len(result.assignments) == 5
-    assert result.truncated
+    inst = triangle_instance()
+    assert ks_assignments_powerset(inst) == [1, 2, 4]
+    assert found_mask(inst) == 1
 
 
 def test_new33_unsat_and_yuoh_sat():
@@ -76,26 +78,20 @@ def test_new33_unsat_and_yuoh_sat():
     assert res13.nodes == 3
     assert find_ks_assignment(builtin("peres33")).nodes == 33
     assert find_ks_assignment(builtin("conway31")).nodes == 13
-    inst = builtin("yuoh13")
-    first = enumerate_ks_assignments(inst, cap=5).assignments
-    assert [sum(f.values[r] << i for i, r in enumerate(inst.graph.vertices))
-            for f in first] == [37, 293, 41, 2089, 69]
-
-
-def test_new33_enumeration_empty():
-    result = enumerate_ks_assignments(builtin("new33"))
-    assert result.assignments == []
-    assert not result.truncated
+    assert found_mask(builtin("yuoh13")) == 37
 
 
 def test_yuoh_h_ray_property():
+    # the h-rays are the four rays in no complete basis
     inst = builtin("yuoh13")
-    result = enumerate_ks_assignments(inst)
-    assert not result.truncated
-    assert result.assignments
-    hs = yuoh_h_rays()
-    for f in result.assignments:
-        assert sum(f.values[h] for h in hs) <= 1
+    in_bases = set().union(*inst.basis_indices)
+    hs = [v for v in range(inst.graph.n) if v not in in_bases]
+    assert {inst.graph.vertices[v] for v in hs} == {
+        ray(1, 1, 1), ray(1, 1, -1), ray(1, -1, 1), ray(-1, 1, 1)}
+    masks = ks_assignments_powerset(inst)
+    assert len(masks) == 24
+    for mask in masks:
+        assert sum(mask >> h & 1 for h in hs) <= 1
 
 
 def test_unsat_stable_under_input_permutation():
@@ -118,18 +114,9 @@ def test_search_matches_powerset_enumeration(size, seed):
     rays = rng.sample(pool, size)
     inst = KSInstance(f"random{seed}", rays)
     expected = ks_assignments_powerset(inst)
-    found = enumerate_ks_assignments(inst, cap=1 << 16)
-    assert not found.truncated
-    masks = set()
-    order = {r: i for i, r in enumerate(inst.graph.vertices)}
-    for f in found.assignments:
-        mask = 0
-        for r, v in f.values.items():
-            if v:
-                mask |= 1 << order[r]
-        masks.add(mask)
-    assert masks == set(expected)
-    assert find_ks_assignment(inst).satisfiable == bool(expected)
+    mask = found_mask(inst)
+    assert (mask is not None) == bool(expected)
+    assert mask is None or mask in expected
 
 
 def test_cnf_export_cross_checked_by_dpll():
@@ -145,7 +132,7 @@ def test_cnf_clause_counts():
     inst = builtin("yuoh13")
     text = to_dimacs_cnf(inst)
     _, clauses = parse_dimacs_cnf(text)
-    assert len(clauses) == inst.graph.edge_count() + len(inst.bases)
+    assert len(clauses) == len(inst.graph.edges()) + len(inst.bases)
 
 
 @pytest.mark.parametrize("name", ["new33", "peres33", "conway31"])
@@ -163,3 +150,31 @@ def test_every_ray_is_critical(name):
     assert all(colorable)
     for orbit in inst.graph.group.orbits:
         assert len({colorable[v] for v in orbit}) == 1
+
+
+# the bases whose clause an UNSAT CNF can lose and stay UNSAT
+REDUNDANT_BASES = {"new33": [0], "peres33": [1, 4, 7], "conway31": []}
+
+
+@pytest.mark.parametrize("name", sorted(REDUNDANT_BASES))
+def test_every_other_constraint_is_critical(name):
+    """Dropping any one CNF clause makes DPLL find an assignment, with named exceptions.
+
+    The exceptions are a few basis clauses; every orthogonal pair in no
+    basis is needed.  new33 can lose its standard basis.
+    """
+    inst = builtin(name)
+    nvars, clauses = parse_dimacs_cnf(to_dimacs_cnf(inst))
+    edges = inst.graph.edges()
+    in_bases = {pair for t in inst.basis_indices for pair in itertools.combinations(t, 2)}
+
+    def unsat_without(k):
+        return not dpll_satisfiable(nvars, clauses[:k] + clauses[k + 1:])
+
+    assert [b for b in range(len(inst.bases)) if unsat_without(len(edges) + b)] == (
+        REDUNDANT_BASES[name])
+    lone = [k for k, e in enumerate(edges) if e not in in_bases]
+    assert len(lone) == {"new33": 36, "peres33": 24, "conway31": 20}[name]
+    assert not any(unsat_without(k) for k in lone)
+    if name == "new33":
+        assert set(inst.bases[0]) == {ray(1, 0, 0), ray(0, 1, 0), ray(0, 0, 1)}

@@ -40,6 +40,7 @@ from oracles import (
     close_under_products,
     pair_is_refutable,
     parse_dimacs_edges,
+    scale_ray,
 )
 
 W = omega()
@@ -68,7 +69,7 @@ def test_context_classification(game45):
     for c in game45.contexts:
         kinds.setdefault(c.kind, []).append(c)
     assert len(game45.contexts) == 45
-    assert all(game45.context(c.x, c.y) is c for c in game45.contexts)
+    assert [(c.x, c.y) for c in game45.contexts] == list(itertools.product(range(5), range(9)))
     assert len(kinds["shared-vector"]) == 9
     assert len(kinds["orthogonal-pair"]) == 36
     for c in kinds["shared-vector"]:
@@ -124,10 +125,10 @@ def test_winning_context_probability_adds_to_input_weight(game45):
 
 def test_win_tags_invariant_under_rescaling(game45):
     scaled_alice = [
-        Basis(tuple(r.scaled(-2 * W) for r in basis)) for basis in game45.alice_bases
+        Basis(tuple(scale_ray(r, -2 * W) for r in basis)) for basis in game45.alice_bases
     ]
     scaled_bob = [
-        Basis(tuple(r.scaled(W**2) for r in basis)) for basis in game45.bob_bases
+        Basis(tuple(scale_ray(r, W**2) for r in basis)) for basis in game45.bob_bases
     ]
     rebuilt = build_game(scaled_alice, scaled_bob)
     for c1, c2 in zip(game45.contexts, rebuilt.contexts):
@@ -302,6 +303,10 @@ CONWAY31_UNWINNABLE = [
 ]
 
 
+# inclusion-minimal bad sets of SPLIT_ALICE, or of CONWAY31_UNWINNABLE for conway31
+MINIMAL_BAD_SET_COUNTS = {"new33": [9], "peres33": [9], "conway31": [9, 14, 14, 13]}
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
 def test_bad_sets_match_strategy_scan(name):
     inst = builtin(name)
@@ -310,7 +315,7 @@ def test_bad_sets_match_strategy_scan(name):
     rng = random.Random(name)
     xs = [X for size in (1, 2, 3) for X in itertools.combinations(range(nb), size)]
     xs += [tuple(sorted(rng.sample(range(nb), rng.randint(4, 6)))) for _ in range(30)]
-    # sizes 7-9, where the perfect-strategy pass drops the most subtrees
+    # sizes 7-9, where the cut on found sets drops the most subtrees
     xs += [tuple(sorted(rng.sample(range(nb), rng.randint(7, 9)))) for _ in range(20)]
     if name == "conway31":
         xs += CONWAY31_UNWINNABLE
@@ -319,10 +324,13 @@ def test_bad_sets_match_strategy_scan(name):
         bads = _bad_sets_for(X, table, nb)
         expected = bad_sets_bruteforce(inst, X)
         if expected is None:
-            assert bads is None and X not in CONWAY31_UNWINNABLE, X
+            assert bads == [0] and X not in CONWAY31_UNWINNABLE, X
             continue
         assert bads == sorted(bads) and len(set(bads)) == len(bads), X
-        assert {frozenset(j for j in range(nb) if m >> 3 * j & 1) for m in bads} == expected, X
+        minimal = {s for s in expected if not any(t < s for t in expected)}
+        assert {frozenset(j for j in range(nb) if m >> 3 * j & 1) for m in bads} == minimal, X
+    sides = CONWAY31_UNWINNABLE if name == "conway31" else [SPLIT_ALICE[name]]
+    assert [len(_bad_sets_for(X, table, nb)) for X in sides] == MINIMAL_BAD_SET_COUNTS[name]
 
 
 @st.composite
@@ -352,7 +360,7 @@ def test_bad_sets_match_leaf_scan_on_synthetic_tables(table):
     for choice in itertools.product(*rows):
         s = functools.reduce(operator.and_, choice, 7 * low)
         leaves.add(~(s | s >> 1 | s >> 2) & low)
-    expected = None if 0 in leaves else sorted(leaves)
+    expected = sorted(b for b in leaves if not any(c != b and not c & ~b for c in leaves))
     assert _bad_sets_for(tuple(range(len(rows))), rows, nb) == expected
 
 
@@ -396,7 +404,7 @@ UNWINNABLE_COUNTS = {"new33": 1, "peres33": 1, "conway31": 4}
 
 @pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
 def test_prefix_states_decide_every_canonical_x(name):
-    """A state from the prefix's strategy, or a DFS, is None iff X has bad sets."""
+    """A state from the prefix's strategy, or a DFS, is None iff X's bad sets are not [0]."""
     inst = builtin(name)
     nb = len(inst.basis_indices)
     low = int("001" * nb, 2)
@@ -407,7 +415,7 @@ def test_prefix_states_decide_every_canonical_x(name):
         if size > len(SPLIT_ALICE[name]):
             break
         for X, state in level:
-            assert (state is None) == (_bad_sets_for(X, table, nb) is not None), X
+            assert (state is None) == (_bad_sets_for(X, table, nb) != [0]), X
             if state is None:
                 unwinnable.append(X)
             else:  # every Bob basis keeps a winning answer

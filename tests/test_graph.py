@@ -13,7 +13,6 @@ from ksverify.orthograph import (
     dimacs_edges,
     enumerate_automorphisms,
     greedy_clique_cover,
-    independence_number,
     max_independent_set,
 )
 from ksverify.rays import Ray, validate_basis
@@ -46,7 +45,7 @@ def triangle_graph():
 def test_build_graph_triangle():
     g = triangle_graph()
     assert g.n == 3
-    assert g.edge_count() == 3
+    assert len(g.edges()) == 3
     assert len(complete_bases(g)) == 1
 
 
@@ -59,7 +58,7 @@ def test_yuoh_counts_against_direct_enumeration():
     inst = builtin("yuoh13")
     rays = inst.graph.vertices
     assert inst.graph.n == 13
-    assert inst.graph.edge_count() == count_orthogonal_pairs(rays) == 24
+    assert len(inst.graph.edges()) == count_orthogonal_pairs(rays) == 24
     assert len(inst.bases) == triangles_direct(rays) == 4
 
 
@@ -298,6 +297,8 @@ def test_dimacs_header_mismatch_rejected():
 
 
 def test_independence_number_of_graph_object():
-    alpha, witness = independence_number(builtin("yuoh13").graph)
-    assert alpha == alpha_exhaustive(list(builtin("yuoh13").graph.adj))
+    adj = builtin("yuoh13").graph.adj
+    alpha, witness = max_independent_set(adj)
+    assert alpha == alpha_exhaustive(list(adj))
     assert len(witness) == alpha
+    assert not any(adj[a] >> b & 1 for a in witness for b in witness)

@@ -9,13 +9,14 @@ from ksverify.cyclotomic import Cyc, omega
 from ksverify.rays import (
     Basis,
     Ray,
-    complete_basis_third,
     inner,
     is_orthogonal,
     _parse_component,
     parse_ray,
     validate_basis,
 )
+
+from oracles import scale_ray
 
 W = omega()
 
@@ -47,8 +48,8 @@ def test_orthogonality_examples():
 def test_canonicalization_collapses_scalar_multiples():
     assert ray(W, W, 0) == ray(1, 1, 0) == ray(-2, -2, 0)
     r = ray(W**2, W, 1)
-    assert r.scaled(W) == r
-    assert r.scaled(-3) == r
+    assert scale_ray(r, W) == r
+    assert scale_ray(r, -3) == r
     assert ray(1, W**2, W) == r  # unit multiple collapses
 
 
@@ -65,22 +66,13 @@ def test_all_zero_rejected():
 
 
 def test_completion_examples():
-    assert complete_basis_third(ray(0, 0, 1), ray(0, 1, 0)) == ray(1, 0, 0)
-    third = complete_basis_third(ray(1, W, W**2), ray(1, 1, 1))
-    assert third == ray(W**2, W, 1)
-    corrected = complete_basis_third(ray(1, -W, W**2), ray(1, -1, 1))
-    assert corrected == ray(W**2, -W, 1)
-    assert corrected != ray(W**2, W, 1)
-
-
-def test_completion_is_symmetric():
-    u, v = ray(1, W, W**2), ray(1, 1, 1)
-    assert complete_basis_third(u, v) == complete_basis_third(v, u)
-
-
-def test_completion_requires_orthogonality():
-    with pytest.raises(ValueError):
-        complete_basis_third(ray(1, 1, 1), ray(1, 1, -1))
+    # x=1 is completed by (w^2,w,1); x=3 by the corrected (w^2,-w,1), not by (w^2,w,1)
+    for pair, third in (((ray(1, W, W**2), ray(1, 1, 1)), ray(W**2, W, 1)),
+                        ((ray(1, -W, W**2), ray(1, -1, 1)), ray(W**2, -W, 1))):
+        assert is_orthogonal(*pair)
+        assert all(is_orthogonal(third, u) for u in pair)
+    printed = ray(W**2, W, 1)
+    assert not any(is_orthogonal(printed, u) for u in (ray(1, -W, W**2), ray(1, -1, 1)))
 
 
 def test_validate_basis_reports_pairs():
@@ -122,7 +114,7 @@ def test_orthogonality_invariant_under_rescaling(comps, s1, s2):
     u = Ray(comps)
     v = ray(1, W, W**2)
     scaled_u = Ray(tuple(s1 * Cyc._as_cyc(c) for c in comps))
-    assert is_orthogonal(u, v) == is_orthogonal(scaled_u, v.scaled(s2))
+    assert is_orthogonal(u, v) == is_orthogonal(scaled_u, scale_ray(v, s2))
     assert u == scaled_u
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import ksverify
 from ksverify.colorability import (
-    Assignment, ColoringViolation, EnumerationResult, SearchResult)
+    Assignment, ColoringViolation, SearchResult)
 from ksverify.game import Context, Game, GameValue, MinimalSplitResult, Strategy
 from ksverify.orthograph import AutGroupReport
 from ksverify.rays import BasisViolation
@@ -22,7 +22,6 @@ RECORDS = {
     Assignment: "values",
     ColoringViolation: "kind detail",
     SearchResult: "satisfiable assignment nodes",
-    EnumerationResult: "assignments truncated",
     Context: "x y shared_pairs orthogonal_pairs win_mask",
     Game: "alice_bases bob_bases contexts",
     Strategy: "alice bob",

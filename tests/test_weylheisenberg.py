@@ -7,6 +7,8 @@ from ksverify.cyclotomic import Cyc, omega
 from ksverify.rays import Ray, inner
 from ksverify.weylheisenberg import apply, generator, is_sic_povm, orbit_closure
 
+from oracles import scale_ray
+
 W = omega()
 
 
@@ -51,20 +53,20 @@ def test_orbit_of_basis_vector_under_shift():
 
 
 def test_yuoh_closed_under_x():
-    yuoh = builtin("yuoh13").ray_set()
+    yuoh = frozenset(builtin("yuoh13").graph.vertices)
     assert set(orbit_closure(yuoh, [X])) == set(yuoh)
 
 
 def test_z_closure_of_yuoh_is_new33():
     yuoh = list(builtin("yuoh13").graph.vertices)
     closure = orbit_closure(yuoh, [Z])
-    assert set(closure) == builtin("new33").ray_set()
+    assert set(closure) == frozenset(builtin("new33").graph.vertices)
     # single and double applications alone do not reproduce the set:
     # the claim holds as closure, i.e. the union of all Z powers
     z1 = {apply(Z, v) for v in yuoh}
     z2 = {apply(Z, apply(Z, v)) for v in yuoh}
-    assert set(yuoh) | z1 | z2 == builtin("new33").ray_set()
-    assert z2 != builtin("new33").ray_set()
+    assert set(yuoh) | z1 | z2 == frozenset(builtin("new33").graph.vertices)
+    assert z2 != frozenset(builtin("new33").graph.vertices)
 
 
 def test_closure_is_monotone_and_idempotent():
@@ -83,7 +85,7 @@ def test_sic_orbits():
     assert rep_plus.is_sic and len(rep_plus.rays) == 9
     assert rep_minus.is_sic and len(rep_minus.rays) == 9
     assert set(rep_plus.rays) != set(rep_minus.rays)
-    new33 = builtin("new33").ray_set()
+    new33 = frozenset(builtin("new33").graph.vertices)
     assert set(rep_plus.rays) <= new33
     assert set(rep_minus.rays) <= new33
     for rep in (rep_plus, rep_minus):
@@ -94,7 +96,7 @@ def test_sic_orbits():
 
 def test_sic_condition_is_scale_invariant():
     plus = orbit_closure([ray(1, 1, 0)], [X, Z])
-    rescaled = [r.scaled(-2 * W) for r in plus]
+    rescaled = [scale_ray(r, -2 * W) for r in plus]
     assert is_sic_povm(rescaled).is_sic
 
 
