@@ -22,7 +22,6 @@ meaning sum (num/den) * zeta_n^power; [] is zero.
 
 from __future__ import annotations
 
-import json
 import os
 from math import lcm
 from pathlib import Path
@@ -111,15 +110,23 @@ _FILE_BACKED = {
 _CACHE: dict[str, KSInstance] = {}
 
 
+def builtin_rays(name: str) -> list[Ray]:
+    """The rays of a named shipped set; new33 and yuoh13 build no graph for them."""
+    if name == "new33":
+        return [r for basis in new33_bases() for r in basis]
+    if name == "yuoh13":
+        return yuoh13_rays()
+    return list(builtin(name).graph.vertices)
+
+
 def builtin(name: str) -> KSInstance:
     """A named shipped instance; file-backed names need their data file."""
     if name in _CACHE:
         return _CACHE[name]
     if name == "new33":
-        rays = [r for basis in new33_bases() for r in basis]
-        inst = KSInstance("new33", rays, notes=(X3_CORRECTION_NOTE,))
+        inst = KSInstance("new33", builtin_rays(name), notes=(X3_CORRECTION_NOTE,))
     elif name == "yuoh13":
-        inst = KSInstance("yuoh13", yuoh13_rays())
+        inst = KSInstance("yuoh13", builtin_rays(name))
     elif name in _FILE_BACKED:
         path = data_dir() / _FILE_BACKED[name]
         if not path.exists():
@@ -140,6 +147,8 @@ def load_set(path) -> KSInstance:
     A duplicate ray or a declared basis failing orthogonality raises one
     InvalidSetError naming every offending pair.
     """
+    import json
+
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
@@ -235,6 +244,8 @@ def serialize(inst: KSInstance, provenance: str = "") -> dict:
 
 
 def save_set(inst: KSInstance, path, provenance: str = "") -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(serialize(inst, provenance), fh, indent=1)
         fh.write("\n")

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import catalog
-from .catalog import MissingDataError, builtin, load_set, summary_table
+from .catalog import MissingDataError, builtin, builtin_rays, load_set, summary_table
 from .colorability import KSInstance, find_ks_assignment
 from .game import (
     Game,
@@ -211,7 +211,7 @@ def cmd_minimal(args) -> dict | int:
 
 def cmd_generate(args) -> dict:
     if args.seed in catalog.BUILTIN_NAMES:
-        seed = list(builtin(args.seed).graph.vertices)
+        seed = builtin_rays(args.seed)
         seed_name = args.seed
     else:
         seed = [parse_ray(args.seed)]
@@ -223,8 +223,8 @@ def cmd_generate(args) -> dict:
           f"{len(closure)} rays")
     same_as_seed = set(closure) == set(seed)
     print(f"closure equals seed set: {same_as_seed}")
-    new33 = builtin("new33")
-    equal = set(closure) == set(new33.graph.vertices)
+    new33 = seed if args.seed == "new33" else builtin_rays("new33")
+    equal = set(closure) == set(new33)
     print(f"closure equals new33 ray set: {equal}")
     if args.print_rays:
         for r in closure:

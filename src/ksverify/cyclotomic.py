@@ -65,7 +65,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @functools.cache
 def _phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """phi(n) of a conductor; ValueError, which is not cached, for a bad one."""
+    return len(cyclotomic_polynomial(check_conductor(n))) - 1
 
 
 @functools.cache
@@ -176,15 +177,14 @@ class Cyc:
         Coefficients are ints or Fractions and may run past phi(n); `den` is
         a nonzero int.
         """
-        check_conductor(n)
-        num = list(coeffs)
+        phi = _phi(n)
+        num = coeffs if type(coeffs) is list else list(coeffs)  # read, never written
         # A Fraction or float term makes the sum a Fraction or float.
         if type(den) is not int or den < 1 or type(sum(num)) is not int:
             num, den = _integral(num, den)
-        if len(num) != _phi(n):
+        if len(num) != phi:
             num = _reduce(n, num)
-        g = gcd(den, *num)
-        if g != 1:
+        if den != 1 and (g := gcd(den, *num)) != 1:
             num = [c // g for c in num]
             den //= g
         _set_n(self, n)
@@ -227,40 +227,43 @@ class Cyc:
             return Cyc.from_rational(value)
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
 
-    @staticmethod
-    def _common(a: "Cyc", b: "Cyc") -> tuple[int, "Cyc", "Cyc"]:
-        if a.n == b.n:
-            return a.n, a, b
-        m = lcm(a.n, b.n)
-        return m, a if a.n == m else a._embed(m), b if b.n == m else b._embed(m)
+    def _common(self, other) -> tuple[int, "Cyc", "Cyc"]:
+        """The lcm conductor m, and self and `other` (a Cyc, int or Fraction) at m."""
+        other = Cyc._as_cyc(other)
+        if self.n == other.n:
+            return self.n, self, other
+        m = lcm(self.n, other.n)
+        a = self if self.n == m else self._power_map(m, m // self.n)
+        b = other if other.n == m else other._power_map(m, m // other.n)
+        return m, a, b
 
     def _power_map(self, m: int, k: int) -> "Cyc":
-        """zeta_n^j -> zeta_m^(k*j); both callers keep k*j distinct mod m."""
-        out = [0] * check_conductor(m)
+        """zeta_n^j -> zeta_m^(k*j), written on the phi(m) powers of zeta_m."""
+        out = [0] * _phi(m)
+        table = _power_table(m)
         for j, c in enumerate(self.num):
-            out[(k * j) % m] = c
+            if c:
+                for i, t in table[k * j % m]:
+                    out[i] += c * t
         return Cyc(m, out, self.den)
-
-    def _embed(self, m: int) -> "Cyc":
-        return self._power_map(m, m // self.n)
 
     # -- ring operations -----------------------------------------------------
 
-    def _add(self, other, sign: int) -> "Cyc":
-        n, a, b = Cyc._common(self, Cyc._as_cyc(other))
+    def __add__(self, other, sign: int = 1) -> "Cyc":
+        if type(other) is Cyc and other.n == self.n:
+            n, a, b = self.n, self, other
+        else:
+            n, a, b = self._common(other)
         if a.den == b.den:
             return Cyc(n, [x + sign * y for x, y in zip(a.num, b.num)], a.den)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
         return Cyc(n, [fa * x + fb * y for x, y in zip(a.num, b.num)], den)
 
-    def __add__(self, other) -> "Cyc":
-        return self._add(other, 1)
-
     __radd__ = __add__
 
     def __sub__(self, other) -> "Cyc":
-        return self._add(other, -1)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> "Cyc":
         return Cyc._as_cyc(other) - self
@@ -269,14 +272,17 @@ class Cyc:
         return Cyc(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other) -> "Cyc":
-        n, a, b = Cyc._common(self, Cyc._as_cyc(other))
+        if type(other) is Cyc and other.n == self.n:
+            n, a, b = self.n, self, other
+        else:
+            n, a, b = self._common(other)
         bs = [(j, y) for j, y in enumerate(b.num) if y]
         prod = [0] * (2 * len(a.num) - 1)
         for i, x in enumerate(a.num):
             if x:
                 for j, y in bs:
                     prod[i + j] += x * y
-        return Cyc(n, prod, a.den * b.den)
+        return Cyc(n, _reduce(n, prod), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -349,8 +355,10 @@ class Cyc:
         if cached is not None:
             return cached
         n, num, den = self.n, self.num, self.den
+        if not any(num[1:]):  # the power basis starts with 1: a rational value
+            n, num = 1, num[:1]
         table = _power_table(n)
-        for d in _divisors(n)[:-1]:
+        for d in _divisors(n)[1:-1]:  # not Q itself: only a rational value lies in Q
             if d % 4 == 2:
                 continue
             p, pden = _subfield_solver(n, d)

@@ -13,8 +13,6 @@ come from exact zero tests on the components.
 
 from __future__ import annotations
 
-import cmath
-import csv
 import math
 
 from .colorability import KSInstance
@@ -37,6 +35,8 @@ def majorana_points(
     r: Ray,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """The unordered point pair, returned in lexicographic coordinate order."""
+    import cmath
+
     c0, c1, c2 = r.canonical
     scale = max(abs(c.evaluate()) for c in r.canonical)
     a = c0.evaluate() / scale
@@ -57,6 +57,8 @@ def majorana_points(
 
 def export_majorana(inst: KSInstance, path: str) -> None:
     """CSV: one row per (ray, point): index, canonical ray, point 1/2, x, y, z."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {CONVENTION}\n")
         writer = csv.writer(fh)

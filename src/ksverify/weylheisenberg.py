@@ -77,17 +77,23 @@ def is_sic_povm(rays) -> SicReport:
     if len(rays) != 9:
         failures.append(f"expected 9 distinct rays, got {len(rays)}")
     norms = [inner(r, r) for r in rays]
+    # |<u|v>|^2 is symmetric: each unordered pair's overlap fills both cells
+    overlaps = {}
+    for i, u in enumerate(rays):
+        for j in range(i, len(rays)):
+            amp = inner(u, rays[j])
+            overlap = (amp * amp.conj()) / (norms[i] * norms[j])
+            overlaps[i, j] = overlaps[j, i] = (
+                overlap.as_fraction() if overlap.is_rational() else None)
     table = []
     for i, u in enumerate(rays):
         row = []
         for j, v in enumerate(rays):
-            amp = inner(u, v)
-            overlap = (amp * amp.conj()) / (norms[i] * norms[j])
-            if not overlap.is_rational():
+            value = overlaps[i, j]
+            if value is None:
                 failures.append(f"overlap of {u} and {v} is irrational")
                 row.append(Fraction(0))
                 continue
-            value = overlap.as_fraction()
             row.append(value)
             if i != j and value != Fraction(1, 4):
                 failures.append(

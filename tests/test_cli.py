@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ksverify import catalog, orthograph
+from ksverify import catalog, colorability, orthograph
 from ksverify.catalog import builtin, serialize
 from ksverify.cli import (
     EXIT_INCOMPLETE,
@@ -18,6 +18,7 @@ from ksverify.cli import (
     EXIT_MISSING_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -307,6 +308,25 @@ def test_each_graph_enumerates_its_group_once(argv, enumerations, monkeypatch, c
     g = builtin("new33").graph
     assert g.group is g.group
     assert len(calls) == enumerations
+
+
+@pytest.mark.parametrize("gens,fact", [("Z", "Z_closure_is_new33"),
+                                       ("X", "X_closure_is_seed")])
+def test_generate_builds_no_graph(gens, fact, monkeypatch, capsys):
+    """Comparing ray sets needs the rays only: no instance, graph or basis."""
+    calls = []
+    init = colorability.KSInstance.__init__
+    monkeypatch.setattr(colorability.KSInstance, "__init__",
+                        lambda self, *a, **k: calls.append("KSInstance") or init(self, *a, **k))
+    build_graph = orthograph.build_graph
+    for module in (orthograph, colorability):
+        monkeypatch.setattr(module, "build_graph",
+                            lambda rays: calls.append("build_graph") or build_graph(rays))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    args = build_parser().parse_args(["generate", "--seed", "yuoh13", "--gens", gens])
+    facts = args.func(args)
+    assert facts["yuoh13"][fact] is True
+    assert calls == []
 
 
 E123 = [[[[0, 1, 1]], [], []], [[], [[0, 1, 1]], []], [[], [], [[0, 1, 1]]]]

@@ -291,3 +291,64 @@ def test_str_forms():
     assert str(-2 * W) == "-2*w"
     assert str(Cyc.zero()) == "0"
     assert str(Cyc.from_rational(Fraction(1, 2))) == "1/2"
+
+
+# `bench/test_counters.py` pins how many Cyc values a `game new33` run
+# builds (cyclotomic.Cyc.calls).  These invariants keep that count: each
+# operation builds its result once, already reduced, and the canonical-data
+# queries build nothing.
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The conductor of every Cyc built from here on, in order."""
+    conductors = []
+    init = Cyc.__init__
+
+    def counting(self, n, *args, **kwargs):
+        conductors.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Cyc, "__init__", counting)
+    return conductors
+
+
+def samples(n: int) -> list[Cyc]:
+    """A sparse, a dense, a rational and a non-integral value at conductor n."""
+    return [Cyc(n, [1, 2]), Cyc(n, list(range(1, n + 1))), Cyc(n, [Fraction(3, 4)]),
+            Cyc(n, [2, 0, -1], 3)]
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_each_operation_builds_one_value(n, built):
+    a, b, _, c = samples(n)
+    ops = {"+": lambda: a + b, "-": lambda: a - c, "*": lambda: b * c,
+           "conj": a.conj, "inverse": c.inverse}
+    for name, op in ops.items():
+        built.clear()
+        op()
+        assert built == [n], name
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_canonical_queries_build_no_value(n, built):
+    values = samples(n) + samples(lcm(n, 3))
+    built.clear()
+    for v in values:  # the minimal forms are not cached yet
+        v.minimal_form()
+        v.sort_key()
+        hash(v)
+    for u in values:
+        for v in values:
+            assert (u == v) == (u.minimal_form() == v.minimal_form())
+    assert built == []
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_rational_minimal_form_is_its_constant_term(n):
+    for r in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+        assert Cyc(n, [r]).minimal_form() == (1, (r,))
+    if n % 3 == 0:
+        w, w2 = Cyc(n, [0] * (n // 3) + [1]), Cyc(n, [0] * (2 * n // 3) + [1])
+        assert w.n == w2.n == n and not w.is_rational()
+        assert (w * w2).minimal_form() == (1, (Fraction(1),))

@@ -53,3 +53,24 @@ def test_cli_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+def test_cli_import_defers_json_csv_cmath_but_loads_every_module():
+    """`import ksverify.cli` leaves json, csv and cmath to the calls that use
+    them, and still loads every package module.
+
+    The second check matters to the benchmark tracer (`bench/tracer.py`): it
+    rewraps a function at its `from ... import` bindings only in the modules
+    already loaded when it installs, so a module that the CLI loaded later
+    would keep unwrapped bindings and its calls would silently lose their
+    spans.  `-S` keeps the host's `site` hooks from loading modules first.
+    """
+    code = "import sys, ksverify.cli; print(' '.join(sorted(sys.modules)))"
+    src = str(Path(ksverify.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = set(out.split())
+    assert not {"json", "csv", "cmath"} & loaded
+    traced = {"catalog", "colorability", "cyclotomic", "game", "majorana", "orthograph",
+              "rays", "weylheisenberg"}
+    assert {f"ksverify.{name}" for name in traced} <= loaded
