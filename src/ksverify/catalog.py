@@ -107,15 +107,20 @@ _FILE_BACKED = {
     "penrose33": "penrose33.json",
 }
 
+# Sets built in code: their ray list (new33's basis by basis, so repeated)
+# and the notes of their instance.
+_CODE_BUILT = {
+    "new33": (lambda: [r for basis in new33_bases() for r in basis], (X3_CORRECTION_NOTE,)),
+    "yuoh13": (yuoh13_rays, ()),
+}
+
 _CACHE: dict[str, KSInstance] = {}
 
 
 def builtin_rays(name: str) -> list[Ray]:
-    """The rays of a named shipped set; new33 and yuoh13 build no graph for them."""
-    if name == "new33":
-        return [r for basis in new33_bases() for r in basis]
-    if name == "yuoh13":
-        return yuoh13_rays()
+    """The rays of a named shipped set; a code-built set builds no graph for them."""
+    if name in _CODE_BUILT:
+        return _CODE_BUILT[name][0]()
     return list(builtin(name).graph.vertices)
 
 
@@ -123,10 +128,9 @@ def builtin(name: str) -> KSInstance:
     """A named shipped instance; file-backed names need their data file."""
     if name in _CACHE:
         return _CACHE[name]
-    if name == "new33":
-        inst = KSInstance("new33", builtin_rays(name), notes=(X3_CORRECTION_NOTE,))
-    elif name == "yuoh13":
-        inst = KSInstance("yuoh13", builtin_rays(name))
+    if name in _CODE_BUILT:
+        rays, notes = _CODE_BUILT[name]
+        inst = KSInstance(name, rays(), notes=notes)
     elif name in _FILE_BACKED:
         path = data_dir() / _FILE_BACKED[name]
         if not path.exists():

@@ -223,8 +223,7 @@ def cmd_generate(args) -> dict:
           f"{len(closure)} rays")
     same_as_seed = set(closure) == set(seed)
     print(f"closure equals seed set: {same_as_seed}")
-    new33 = seed if args.seed == "new33" else builtin_rays("new33")
-    equal = set(closure) == set(new33)
+    equal = set(closure) == set(builtin_rays("new33"))
     print(f"closure equals new33 ray set: {equal}")
     if args.print_rays:
         for r in closure:

@@ -250,10 +250,7 @@ class Cyc:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other, sign: int = 1) -> "Cyc":
-        if type(other) is Cyc and other.n == self.n:
-            n, a, b = self.n, self, other
-        else:
-            n, a, b = self._common(other)
+        n, a, b = self._common(other)
         if a.den == b.den:
             return Cyc(n, [x + sign * y for x, y in zip(a.num, b.num)], a.den)
         den = lcm(a.den, b.den)
@@ -272,10 +269,7 @@ class Cyc:
         return Cyc(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other) -> "Cyc":
-        if type(other) is Cyc and other.n == self.n:
-            n, a, b = self.n, self, other
-        else:
-            n, a, b = self._common(other)
+        n, a, b = self._common(other)
         bs = [(j, y) for j, y in enumerate(b.num) if y]
         prod = [0] * (2 * len(a.num) - 1)
         for i, x in enumerate(a.num):

@@ -10,6 +10,7 @@ from ksverify.catalog import (
     InvalidSetError,
     MissingDataError,
     builtin,
+    builtin_rays,
     load_set,
     new33_bases,
     save_set,
@@ -211,6 +212,11 @@ def test_summary_table_renders_deterministically():
 
 def test_yuoh13_rays_helper_matches_builtin():
     assert frozenset(yuoh13_rays()) == frozenset(builtin("yuoh13").graph.vertices)
+
+
+@pytest.mark.parametrize("name", ["new33", "yuoh13", "peres33"])
+def test_builtin_rays_are_the_instance_rays(name):
+    assert set(builtin_rays(name)) == set(builtin(name).graph.vertices)
 
 
 json_values = st.recursive(

@@ -141,6 +141,13 @@ def test_generate(capsys):
     assert "closure equals new33 ray set: True" in out
 
 
+def test_generate_from_new33_is_closed(capsys):
+    code, out = run(capsys, "generate", "--seed", "new33", "--gens", "X,Z")
+    assert code == EXIT_OK
+    assert "closure equals seed set: True" in out
+    assert "closure equals new33 ray set: True" in out
+
+
 def test_generate_single_ray(capsys):
     code, out = run(capsys, "generate", "--seed", "(0,0,1)", "--gens", "X")
     assert code == EXIT_OK
