@@ -159,7 +159,7 @@ def load_set(path) -> KSInstance:
             doc = json.load(fh)
         except RecursionError:
             raise InvalidSetError(f"{path}: JSON nested too deeply") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
             raise InvalidSetError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidSetError(f"{path}: not a JSON object")
@@ -168,10 +168,12 @@ def load_set(path) -> KSInstance:
     declared = doc.get("declared_bases", [])
     notes = doc.get("notes", [])
     provenance = doc.get("provenance", "")
+    ray_specs = doc.get("rays", [])
     for field, value, ok, kind in (
         ("name", name, isinstance(name, str), "a string"),
         ("provenance", provenance, isinstance(provenance, str), "a string"),
         ("conductor", conductor, type(conductor) is int, "an integer"),
+        ("rays", ray_specs, isinstance(ray_specs, list), "a list"),
         ("declared_bases", declared, isinstance(declared, list), "a list"),
         ("notes", notes, isinstance(notes, list)
          and all(isinstance(n, str) for n in notes), "a list of strings"),
@@ -182,8 +184,7 @@ def load_set(path) -> KSInstance:
         check_conductor(conductor)
     except ValueError as exc:
         raise InvalidSetError(f"{path}: {exc}") from None
-    ray_specs = doc.get("rays", [])
-    if not isinstance(ray_specs, list) or not ray_specs:
+    if not ray_specs:
         raise InvalidSetError(f"{path}: no rays")
     rays = []
     for i, spec in enumerate(ray_specs):

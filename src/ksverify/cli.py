@@ -28,6 +28,7 @@ from .game import (
     quantum_value_maxent,
 )
 from .majorana import export_majorana
+from .orthograph import bits
 from .rays import parse_ray
 from .weylheisenberg import generator, is_sic_povm, orbit_closure
 
@@ -98,13 +99,12 @@ def _game_from_args(inst: KSInstance, args) -> Game:
         if not ax or not bx:
             raise ValueError(
                 f"no default basis split for {inst.name}; pass --alice and --bob")
+    bases = [[inst.graph.vertices[v] for v in triple] for triple in inst.basis_indices]
     for i in ax + bx:
-        if not 0 <= i < len(inst.bases):
+        if not 0 <= i < len(bases):
             raise ValueError(
-                f"basis index {i} out of range 0..{len(inst.bases) - 1}")
-    alice = [inst.bases[i] for i in ax]
-    bob = [inst.bases[i] for i in bx]
-    return build_game(alice, bob)
+                f"basis index {i} out of range 0..{len(bases) - 1}")
+    return build_game([bases[i] for i in ax], [bases[i] for i in bx])
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -115,10 +115,11 @@ def cmd_verify(args) -> dict:
     inst = _load(args.set)
     result = find_ks_assignment(inst)
     verdict = "SAT" if result.satisfiable else "UNSAT"
-    print(f"{inst.name}: {inst.graph.n} rays, {len(inst.bases)} complete bases")
+    print(f"{inst.name}: {inst.graph.n} rays, {len(inst.basis_indices)} complete bases")
     print(f"KS assignment search: {verdict} (search nodes: {result.nodes})")
     if result.satisfiable:
-        ones = ", ".join(str(r) for r in result.assignment.ones())
+        # vertices are in Ray.sort_key order, so bit order is ray order
+        ones = ", ".join(str(inst.graph.vertices[i]) for i in bits(result.ones))
         print(f"witness assignment, rays with value 1: {ones}")
     if args.export_cnf:
         from .colorability import to_dimacs_cnf
@@ -126,16 +127,17 @@ def cmd_verify(args) -> dict:
         with open(args.export_cnf, "w", encoding="utf-8") as fh:
             fh.write(to_dimacs_cnf(inst))
         print(f"constraint system written to {args.export_cnf} (DIMACS CNF)")
-    return {inst.name: {"rays": inst.graph.n, "bases": len(inst.bases),
+    return {inst.name: {"rays": inst.graph.n, "bases": len(inst.basis_indices),
                         "ks": verdict, "ks_nodes": result.nodes}}
 
 
 def cmd_bases(args) -> dict:
     inst = _load(args.set)
-    print(f"{inst.name}: {len(inst.bases)} complete bases")
-    for i, basis in enumerate(inst.bases):
-        print(f"{i}: {basis}")
-    return {inst.name: {"bases": len(inst.bases)}}
+    nb = len(inst.basis_indices)
+    print(f"{inst.name}: {nb} complete bases")
+    for i in range(nb):
+        print(f"{i}: {inst.basis_str(i)}")
+    return {inst.name: {"bases": nb}}
 
 
 def cmd_symmetry(args) -> dict:
@@ -235,8 +237,7 @@ def cmd_generate(args) -> dict:
 
 def cmd_sic(args) -> dict:
     seed = parse_ray(args.seed)
-    gens = [generator("X"), generator("Z")]
-    orbit = orbit_closure([seed], gens)
+    orbit = orbit_closure([seed], ["X", "Z"])
     report = is_sic_povm(orbit)
     print(f"orbit of {seed} under {{X, Z}}: {len(orbit)} rays")
     for r in report.rays:
@@ -273,7 +274,7 @@ def cmd_table1(args) -> dict:
         report = inst.graph.group
         satisfiable = find_ks_assignment(inst).satisfiable
         row = facts[inst.name] = {
-            "rays": inst.graph.n, "bases": len(inst.bases),
+            "rays": inst.graph.n, "bases": len(inst.basis_indices),
             "orbit_count": len(report.orbits), "aut_order": report.order,
             "ks": "SAT" if satisfiable else "UNSAT"}
         if args.minimal == "all" or (args.minimal == "new33" and name == "new33"):

@@ -13,22 +13,22 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .orthograph import bits, build_graph, complete_bases
-from .rays import Basis, Ray
 
 
 class KSInstance:
-    """A named ray set with its orthogonality graph and complete bases."""
+    """A named ray set with its orthogonality graph and complete bases.
 
-    __slots__ = ("name", "graph", "bases", "basis_indices", "notes")
+    A basis is a triple of vertex indices: a triangle of `graph.adj`, whose
+    edges the exact orthogonality tests of `build_graph` already certify.
+    """
+
+    __slots__ = ("name", "graph", "basis_indices", "notes")
 
     def __init__(self, name: str, rays, notes=()) -> None:
         graph = build_graph(rays)
-        basis_indices = tuple(complete_bases(graph))
-        bases = [Basis(graph.vertices[i] for i in triple) for triple in basis_indices]
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "basis_indices", basis_indices)
+        object.__setattr__(self, "basis_indices", tuple(complete_bases(graph)))
         object.__setattr__(self, "notes", tuple(notes))
 
     def __setattr__(self, name, value):
@@ -37,18 +37,12 @@ class KSInstance:
     def __repr__(self) -> str:
         return (
             f"KSInstance({self.name!r}, {self.graph.n} rays, "
-            f"{len(self.bases)} bases)"
+            f"{len(self.basis_indices)} bases)"
         )
 
-
-class Assignment(namedtuple("Assignment", "values")):
-    """Total 0/1 valuation of an instance's rays: `values` maps each Ray to 0 or 1."""
-
-    __slots__ = ()
-
-    def ones(self) -> tuple[Ray, ...]:
-        return tuple(r for r, v in sorted(
-            self.values.items(), key=lambda kv: kv[0].sort_key()) if v == 1)
+    def basis_str(self, bi: int) -> str:
+        """Basis `bi` as `{r1, r2, r3}`."""
+        return "{" + ", ".join(str(self.graph.vertices[v]) for v in self.basis_indices[bi]) + "}"
 
 
 class ColoringViolation(namedtuple("ColoringViolation", "kind detail")):
@@ -57,31 +51,26 @@ class ColoringViolation(namedtuple("ColoringViolation", "kind detail")):
     __slots__ = ()
 
 
-def verify_assignment(inst: KSInstance, f: Assignment) -> list[ColoringViolation]:
-    """Empty list iff `f` satisfies both constraint families."""
+def verify_assignment(inst: KSInstance, ones: int) -> list[ColoringViolation]:
+    """Empty list iff giving 1 to the rays in `ones` (bit i is vertex i) and
+    0 to the rest satisfies both constraint families."""
     g = inst.graph
-    vals = []
-    for ray in g.vertices:
-        if ray not in f.values:
-            raise ValueError(f"assignment is not total: missing {ray}")
-        v = f.values[ray]
-        if v not in (0, 1):
-            raise ValueError(f"assignment value for {ray} is {v}, not 0/1")
-        vals.append(v)
     out = []
     for i, j in g.edges():
-        if vals[i] + vals[j] > 1:
+        if ones >> i & ones >> j & 1:
             out.append(ColoringViolation(
                 "edge", f"orthogonal rays {g.vertices[i]} and {g.vertices[j]} both assigned 1"))
     for bi, triple in enumerate(inst.basis_indices):
-        s = sum(vals[i] for i in triple)
+        s = sum(ones >> i & 1 for i in triple)
         if s != 1:
             out.append(ColoringViolation(
-                "basis", f"basis #{bi} {inst.bases[bi]} has assignment sum {s}, want 1"))
+                "basis", f"basis #{bi} {inst.basis_str(bi)} has assignment sum {s}, want 1"))
     return out
 
 
-class SearchResult(namedtuple("SearchResult", "satisfiable assignment nodes")):
+class SearchResult(namedtuple("SearchResult", "satisfiable ones nodes")):
+    """`ones` is the witness's mask of rays assigned 1 (bit i is vertex i), or None."""
+
     __slots__ = ()
 
 
@@ -139,21 +128,16 @@ def _search_data(inst: KSInstance):
     return inst.graph.adj, [sum(1 << t for t in triple) for triple in inst.basis_indices]
 
 
-def _checked_assignment(inst: KSInstance, ones: int) -> Assignment:
-    f = Assignment({ray: ones >> i & 1 for i, ray in enumerate(inst.graph.vertices)})
-    problems = verify_assignment(inst, f)
-    if problems:
-        raise AssertionError(f"search produced an invalid assignment: {problems}")
-    return f
-
-
 def find_ks_assignment(inst: KSInstance) -> SearchResult:
     """First valid assignment in branching order, or exhaustive UNSAT."""
     # item k of the tree is the k-th node tried after the root
     for nodes, leaf in enumerate(_search_tree(*_search_data(inst))):
         if leaf is not None:
             # all bases carry a 1; free rays get 0 (edges stay satisfied)
-            return SearchResult(True, _checked_assignment(inst, leaf[0]), nodes)
+            problems = verify_assignment(inst, leaf[0])
+            if problems:
+                raise AssertionError(f"search produced an invalid assignment: {problems}")
+            return SearchResult(True, leaf[0], nodes)
     return SearchResult(False, None, nodes)
 
 

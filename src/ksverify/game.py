@@ -21,7 +21,7 @@ from operator import or_
 from .colorability import KSInstance
 from .cyclotomic import Cyc
 from .orthograph import bits, dimacs_edges, max_independent_set
-from .rays import Basis, Ray, inner, is_orthogonal
+from .rays import Ray, inner, is_orthogonal, validate_basis
 
 
 class Context(namedtuple("Context", "x y shared_pairs orthogonal_pairs win_mask")):
@@ -55,10 +55,22 @@ class Game(namedtuple("Game", "alice_bases bob_bases contexts")):
         return sum(c.wins() for c in self.contexts)
 
 
+def _checked_basis(rays) -> tuple[Ray, Ray, Ray]:
+    rays = tuple(rays)
+    violations = validate_basis(rays)
+    if violations:
+        detail = "; ".join(str(v) for v in violations)
+        raise ValueError(f"not an orthogonal basis: {detail}")
+    return rays
+
+
 def build_game(alice_bases, bob_bases) -> Game:
-    """Classify every context and tag each of its 9 events win/lose."""
-    alice_bases = tuple(b if isinstance(b, Basis) else Basis(b) for b in alice_bases)
-    bob_bases = tuple(b if isinstance(b, Basis) else Basis(b) for b in bob_bases)
+    """Classify every context and tag each of its 9 events win/lose.
+
+    Each basis is a triple of rays, checked for pairwise orthogonality.
+    """
+    alice_bases = tuple(_checked_basis(b) for b in alice_bases)
+    bob_bases = tuple(_checked_basis(b) for b in bob_bases)
     contexts = []
     for x, bx in enumerate(alice_bases):
         for y, by in enumerate(bob_bases):
@@ -245,7 +257,7 @@ def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None)
 
 class MinimalSplitResult(namedtuple(
         "MinimalSplitResult", "product alice_bases bob_bases complete candidates_checked")):
-    """`alice_bases` and `bob_bases` are indices into inst.bases."""
+    """`alice_bases` and `bob_bases` are indices into inst.basis_indices."""
 
     __slots__ = ()
 

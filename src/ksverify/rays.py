@@ -110,26 +110,6 @@ def validate_basis(rays) -> list[BasisViolation]:
     return violations
 
 
-class Basis(tuple):
-    """An ordered triple of pairwise orthogonal rays, checked on creation."""
-
-    __slots__ = ()
-
-    def __new__(cls, rays):
-        rays = tuple(rays)
-        violations = validate_basis(rays)
-        if violations:
-            detail = "; ".join(str(v) for v in violations)
-            raise ValueError(f"not an orthogonal basis: {detail}")
-        return super().__new__(cls, rays)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(r) for r in self) + "}"
-
-    def __repr__(self) -> str:
-        return f"Basis{self}"
-
-
 _TERM_RE = re.compile(
     r"^(?P<coef>[+-]?\d+(?:/\d+)?|[+-])?\s*\*?\s*(?:(?P<sym>w|z(?P<n>\d+))(?:\^(?P<k>\d+))?)?$"
 )

@@ -11,41 +11,30 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .cyclotomic import Cyc, omega
+from .cyclotomic import omega
 from .rays import Ray, inner
 
 
-class GeneratorMatrix(namedtuple("GeneratorMatrix", "label entries")):
-    __slots__ = ()
+def generator(label: str) -> str:
+    """The label of a known generator, "X" or "Z"."""
+    if label not in ("X", "Z"):
+        raise ValueError(f"unknown generator {label!r}; expected 'X' or 'Z'")
+    return label
 
 
-def _rows(values) -> tuple[tuple[Cyc, Cyc, Cyc], ...]:
-    return tuple(tuple(Cyc._as_cyc(v) for v in row) for row in values)
-
-
-def generator(label: str) -> GeneratorMatrix:
-    w = omega()
+def apply(label: str, r: Ray) -> Ray:
+    """The ray of generator `label` applied to the canonical components of `r`:
+    X maps (a,b,c) to (c,a,b), Z maps it to (a,w*b,w^2*c)."""
+    a, b, c = r.canonical
     if label == "X":
-        return GeneratorMatrix("X", _rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
-    if label == "Z":
-        return GeneratorMatrix("Z", _rows([[1, 0, 0], [0, w, 0], [0, 0, w * w]]))
-    raise ValueError(f"unknown generator {label!r}; expected 'X' or 'Z'")
-
-
-def apply(m: GeneratorMatrix, r: Ray) -> Ray:
-    """Canonicalized matrix-vector product on the ray's canonical components."""
-    v = r.canonical
-    out = []
-    for row in m.entries:
-        acc = Cyc.zero()
-        for c, x in zip(row, v):
-            acc = acc + c * x
-        out.append(acc)
-    return Ray(tuple(out))
+        return Ray((c, a, b))
+    w = omega()
+    return Ray((a, w * b, w * w * c))
 
 
 def orbit_closure(seed, gens) -> tuple[Ray, ...]:
-    """Least set of rays containing `seed` and closed under all generators."""
+    """Least set of rays containing `seed` and closed under the generators
+    labelled in `gens`."""
     closed = set(seed)
     frontier = list(closed)
     while frontier:

@@ -94,6 +94,12 @@ def scale_ray(r, s):
     return Ray(s * c for c in r.components)
 
 
+def basis_rays(inst) -> list[tuple]:
+    """Each complete basis of `inst` as its triple of rays."""
+    vertices = inst.graph.vertices
+    return [tuple(vertices[v] for v in triple) for triple in inst.basis_indices]
+
+
 def count_orthogonal_pairs(rays) -> int:
     from ksverify.rays import is_orthogonal
 

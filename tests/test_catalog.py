@@ -21,6 +21,8 @@ from ksverify.cyclotomic import omega
 from ksverify.orthograph import automorphisms
 from ksverify.rays import Ray
 
+from oracles import basis_rays
+
 W = omega()
 
 
@@ -31,18 +33,18 @@ def ray(*components):
 def test_new33_shape():
     inst = builtin("new33")
     assert inst.graph.n == 33
-    assert len(inst.bases) == 14
+    assert len(inst.basis_indices) == 14
     assert any("x=3" in note for note in inst.notes)
 
 
 def test_new33_contains_corrected_x3_basis():
     inst = builtin("new33")
     corrected = {ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, -W, 1)}
-    assert any(set(b) == corrected for b in inst.bases)
+    assert any(set(b) == corrected for b in basis_rays(inst))
     assert ray(W**2, W, 1) in inst.graph.vertices  # still present, via x=1
     # the printed x=3 third vector as a triple is not a basis of the set
     printed = {ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, W, 1)}
-    assert not any(set(b) == printed for b in inst.bases)
+    assert not any(set(b) == printed for b in basis_rays(inst))
 
 
 def test_yuoh13_subset_of_new33():
@@ -103,7 +105,7 @@ def test_roundtrip_serialization(tmp_path):
     save_set(inst, path, provenance="roundtrip test")
     loaded = load_set(path)
     assert frozenset(loaded.graph.vertices) == frozenset(inst.graph.vertices)
-    assert len(loaded.bases) == len(inst.bases)
+    assert len(loaded.basis_indices) == len(inst.basis_indices)
     assert loaded.name == "new33"
 
 
@@ -154,7 +156,7 @@ def test_single_basis_file(tmp_path):
     path.write_text(json.dumps(doc))
     inst = load_set(path)
     assert inst.graph.n == 3
-    assert len(inst.bases) == 1
+    assert len(inst.basis_indices) == 1
 
 
 def test_duplicate_rays_rejected(tmp_path):
@@ -170,6 +172,21 @@ def test_duplicate_rays_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidSetError, match="same projective ray"):
         load_set(path)
+
+
+@pytest.mark.parametrize("rays,message", [
+    (5, "rays 5 is not a list"),
+    ({"x": 1}, "rays {'x': 1} is not a list"),
+    ([], "no rays"),
+    (None, "no rays"),
+])
+def test_rays_field_errors(tmp_path, rays, message):
+    doc = {"name": "bad"} if rays is None else {"name": "bad", "rays": rays}
+    path = tmp_path / "rays.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidSetError) as err:
+        load_set(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_printed_x3_file_reports_pairs(tmp_path):
@@ -198,7 +215,7 @@ def test_summary_table_renders_deterministically():
     def facts():
         inst = builtin("yuoh13")
         report = automorphisms(inst.graph)
-        return {"rays": inst.graph.n, "bases": len(inst.bases),
+        return {"rays": inst.graph.n, "bases": len(inst.basis_indices),
                 "orbit_count": len(report.orbits), "aut_order": report.order,
                 "ks": "SAT"}
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,15 @@ def test_generate(capsys):
     assert "closure equals new33 ray set: True" in out
 
 
+def test_generate_prints_the_closure_rays(capsys):
+    code, out = run(capsys, "--expect-paper", "generate", "--seed", "yuoh13",
+                    "--gens", "Z", "--print-rays")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0].endswith(": 33 rays")
+    assert lines[3:] == [f"  {r}" for r in builtin("new33").graph.vertices]
+
+
 def test_generate_from_new33_is_closed(capsys):
     code, out = run(capsys, "generate", "--seed", "new33", "--gens", "X,Z")
     assert code == EXIT_OK
@@ -272,6 +282,17 @@ def test_expectation_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_game_cross_check_disagreement_exits_mismatch(capsys, monkeypatch):
+    from ksverify import cli
+
+    monkeypatch.setattr(cli, "classical_value_twolevel", lambda game: Fraction(1))
+    code, out = run(capsys, "--expect-paper", "game", "new33")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == (
+        "INTERNAL MISMATCH: exclusivity-graph and strategy enumeration disagree")
+    assert "EXPECT-PAPER" not in out
+
+
 def test_sic_expectation_mismatch(capsys):
     code, out = run(capsys, "--expect-paper", "sic", "--seed", "(1,0,0)")
     assert code == EXIT_MISMATCH
@@ -369,6 +390,13 @@ BAD_FILES = {
     "provint.json": set_file(provenance=5),
     "provlist.json": set_file(provenance=["a"]),
     "deep.json": '{"rays": ' + "[" * 100_000,
+    "raysint.json": set_file(rays=5),
+    "raysdict.json": set_file(rays={"x": 1}),
+    "raysempty.json": set_file(rays=[]),
+    # beyond the int digit limit of json.load; without that limit, ray 0
+    # and ray 1 are both (1,0,0)
+    "bigint.json": set_file(rays=E123).replace(
+        '"rays": [', '"rays": [[[[0, 1' + "0" * 5000 + ', 1]], [], []], ', 1),
     # one basis and 8 pairwise non-orthogonal rays (1,k,1): 3! * 8! automorphisms
     "sym8.json": set_file(rays=E123 + [[[[0, 1, 1]], [[0, k, 1]], [[0, 1, 1]]]
                                        for k in range(1, 9)]),
@@ -398,6 +426,10 @@ BAD_FILES = {
     ["verify", "provint.json"],
     ["verify", "provlist.json"],
     ["verify", "deep.json"],
+    ["verify", "raysint.json"],
+    ["verify", "raysdict.json"],
+    ["verify", "raysempty.json"],
+    ["verify", "bigint.json"],
     ["sic", "--seed", "(1,z361,0)"],
     ["sic", "--seed", "(1,1/0,0)"],
     ["sic", "--seed", "(1,1)"],

@@ -31,10 +31,11 @@ from ksverify.game import (
     winning_events,
 )
 from ksverify.orthograph import automorphisms, max_independent_set
-from ksverify.rays import Basis, Ray
+from ksverify.rays import Ray
 
 from oracles import (
     bad_sets_bruteforce,
+    basis_rays,
     best_strategy_pairs,
     canonical_subsets_reference,
     close_under_products,
@@ -54,9 +55,8 @@ def paper_game():
     inst = builtin("new33")
     alice_idx, bob_idx = default_split(inst)
     assert len(alice_idx) == 5 and len(bob_idx) == 9
-    return build_game(
-        [inst.bases[i] for i in alice_idx], [inst.bases[j] for j in bob_idx]
-    )
+    bases = basis_rays(inst)
+    return build_game([bases[i] for i in alice_idx], [bases[j] for j in bob_idx])
 
 
 @pytest.fixture(scope="module")
@@ -124,19 +124,15 @@ def test_winning_context_probability_adds_to_input_weight(game45):
 
 
 def test_win_tags_invariant_under_rescaling(game45):
-    scaled_alice = [
-        Basis(tuple(scale_ray(r, -2 * W) for r in basis)) for basis in game45.alice_bases
-    ]
-    scaled_bob = [
-        Basis(tuple(scale_ray(r, W**2) for r in basis)) for basis in game45.bob_bases
-    ]
+    scaled_alice = [[scale_ray(r, -2 * W) for r in basis] for basis in game45.alice_bases]
+    scaled_bob = [[scale_ray(r, W**2) for r in basis] for basis in game45.bob_bases]
     rebuilt = build_game(scaled_alice, scaled_bob)
     for c1, c2 in zip(game45.contexts, rebuilt.contexts):
         assert c1.win_mask == c2.win_mask
 
 
 def test_identical_single_basis_game():
-    basis = builtin("new33").bases[0]
+    basis = basis_rays(builtin("new33"))[0]
     g = build_game([basis], [basis])
     assert g.contexts[0].kind == "shared-vector"
     assert classical_value(g).classical == 1
@@ -144,13 +140,23 @@ def test_identical_single_basis_game():
 
 
 def test_two_disjoint_nonorthogonal_bases():
-    b1 = Basis((ray(1, 1, 1), ray(1, W, W**2), ray(W**2, W, 1)))
-    b2 = Basis((ray(1, 1, -1), ray(1, W, -(W**2)), ray(W**2, W, -1)))
+    b1 = (ray(1, 1, 1), ray(1, W, W**2), ray(W**2, W, 1))
+    b2 = (ray(1, 1, -1), ray(1, W, -(W**2)), ray(W**2, W, -1))
     g = build_game([b1], [b2])
     c = g.contexts[0]
     assert c.kind == "free"
     assert c.wins() == 9
     assert classical_value(g).classical == 1
+
+
+def test_build_game_rejects_a_non_orthogonal_basis():
+    build_game([(ray(1, W, W**2), ray(1, 1, 1), ray(W**2, W, 1))], [])
+    # the x=3 basis as commonly printed: its third ray fails against both others
+    printed = (ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, W, 1))
+    with pytest.raises(ValueError, match="^not an orthogonal basis: pair \\(0,2\\)"):
+        build_game([printed], [])
+    with pytest.raises(ValueError, match="^not an orthogonal basis"):
+        build_game([], [printed])
 
 
 def test_exclusivity_alpha_matches_bruteforce_on_small_games():
@@ -162,7 +168,8 @@ def test_exclusivity_alpha_matches_bruteforce_on_small_games():
         ([0, 1, 2, 3], [10, 11, 12, 13]),
     ]
     for ax, bx in cases:
-        g = build_game([inst.bases[i] for i in ax], [inst.bases[j] for j in bx])
+        bases = basis_rays(inst)
+        g = build_game([bases[i] for i in ax], [bases[j] for j in bx])
         via_alpha = classical_value(g).classical
         best = best_strategy_pairs(g)
         assert via_alpha == Fraction(best, g.n_contexts())

@@ -59,13 +59,13 @@ def test_yuoh_counts_against_direct_enumeration():
     rays = inst.graph.vertices
     assert inst.graph.n == 13
     assert len(inst.graph.edges()) == count_orthogonal_pairs(rays) == 24
-    assert len(inst.bases) == triangles_direct(rays) == 4
+    assert len(inst.basis_indices) == triangles_direct(rays) == 4
 
 
 def test_new33_counts():
     inst = builtin("new33")
     assert inst.graph.n == 33
-    assert len(inst.bases) == 14
+    assert len(inst.basis_indices) == 14
     assert triangles_direct(inst.graph.vertices) == 14
 
 
@@ -79,22 +79,18 @@ def test_complete_bases_are_the_adjacency_triangles(name, count):
     ]
     assert len(triangles) == count
     assert complete_bases(g) == triangles
-    for b, triple in enumerate(inst.basis_indices):
-        assert inst.bases[b] == tuple(g.vertices[i] for i in triple)
+    assert list(inst.basis_indices) == triangles
 
 
 def test_every_basis_validates():
-    for name in ("new33", "yuoh13"):
-        inst = builtin(name)
-        for basis in inst.bases:
-            assert validate_basis(basis) == []
-    for name in ("peres33", "conway31", "schuette33", "penrose33"):
+    """Each basis triangle of the graph passes the exact orthogonality check."""
+    for name in ("new33", "yuoh13", "peres33", "conway31", "schuette33", "penrose33"):
         try:
             inst = builtin(name)
         except FileNotFoundError:
             continue
-        for basis in inst.bases:
-            assert validate_basis(basis) == []
+        for triple in inst.basis_indices:
+            assert validate_basis([inst.graph.vertices[v] for v in triple]) == []
 
 
 def test_independence_small_graphs():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from ksverify.cyclotomic import Cyc, omega
 from ksverify.rays import (
-    Basis,
     Ray,
     inner,
     is_orthogonal,
@@ -90,12 +89,6 @@ def test_validate_printed_x3_basis():
     products = {str(v.product) for v in violations}
     assert products == {"-2", "-2*w"}
     assert {(v.index_a, v.index_b) for v in violations} == {(0, 2), (1, 2)}
-
-
-def test_basis_constructor_enforces_orthogonality():
-    Basis([ray(1, W, W**2), ray(1, 1, 1), ray(W**2, W, 1)])
-    with pytest.raises(ValueError):
-        Basis([ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, W, 1)])
 
 
 scalars = st.sampled_from(

@@ -8,26 +8,23 @@ from pathlib import Path
 import pytest
 
 import ksverify
-from ksverify.colorability import (
-    Assignment, ColoringViolation, SearchResult)
+from ksverify.colorability import ColoringViolation, SearchResult
 from ksverify.game import Context, Game, GameValue, MinimalSplitResult, Strategy
 from ksverify.orthograph import AutGroupReport
 from ksverify.rays import BasisViolation
-from ksverify.weylheisenberg import GeneratorMatrix, SicReport
+from ksverify.weylheisenberg import SicReport
 
 # every record with its fields, in constructor order
 RECORDS = {
     BasisViolation: "index_a index_b product",
     AutGroupReport: "elements orbits",
-    Assignment: "values",
     ColoringViolation: "kind detail",
-    SearchResult: "satisfiable assignment nodes",
+    SearchResult: "satisfiable ones nodes",
     Context: "x y shared_pairs orthogonal_pairs win_mask",
     Game: "alice_bases bob_bases contexts",
     Strategy: "alice bob",
     GameValue: "classical witness",
     MinimalSplitResult: "product alice_bases bob_bases complete candidates_checked",
-    GeneratorMatrix: "label entries",
     SicReport: "is_sic rays overlaps failures",
 }
 

@@ -46,7 +46,7 @@ def verify(name, rays):
     inst = KSInstance(name, rays)
     group = inst.graph.group
     res = find_ks_assignment(inst)
-    actual = (inst.graph.n, len(inst.bases), group.order, len(group.orbits),
+    actual = (inst.graph.n, len(inst.basis_indices), group.order, len(group.orbits),
               not res.satisfiable)
     ref = EXPECTED[name]
     expected = (len(rays), ref["bases"], ref["aut_order"], ref["orbit_count"], True)
