@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+from .catalog import _clip
 from .colorability import KSInstance
 from .rays import Ray
 
@@ -56,15 +57,24 @@ def majorana_points(
 
 
 def export_majorana(inst: KSInstance, path: str) -> None:
-    """CSV: one row per (ray, point): index, canonical ray, point 1/2, x, y, z."""
+    """CSV: one row per (ray, point): index, canonical ray, point 1/2, x, y, z.
+
+    Every point is computed before `path` is opened, so a ray whose points
+    leave floating-point range raises ValueError and writes no file.
+    """
     import csv
 
+    rows = []
+    for i, ray in enumerate(inst.graph.vertices):
+        try:
+            points = majorana_points(ray)
+        except OverflowError:
+            raise ValueError(f"{inst.name}: ray {_clip(str(ray))} is beyond "
+                             "floating-point range") from None
+        rows += ([i, str(ray), k] + [f"{coord:.15g}" for coord in point]
+                 for k, point in enumerate(points, start=1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {CONVENTION}\n")
         writer = csv.writer(fh)
         writer.writerow(["ray_index", "ray", "point_index", "x", "y", "z"])
-        for i, ray in enumerate(inst.graph.vertices):
-            for k, point in enumerate(majorana_points(ray), start=1):
-                writer.writerow(
-                    [i, str(ray), k] + [f"{coord:.15g}" for coord in point]
-                )
+        writer.writerows(rows)

@@ -32,7 +32,8 @@ def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
     conductor = lcm(*(c.minimal_form()[0] for c in integral))
     one = Cyc.one()
     units = [Cyc.root_of_unity(conductor, k) for k in range(conductor)]
-    units += [-u for u in units]
+    if conductor % 2:  # at even m, -zeta_m^k is zeta_m^(k + m/2) already
+        units += [-u for u in units]
 
     def candidate_key(triple):
         lead = next(c for c in triple if not c.is_zero())

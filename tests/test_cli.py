@@ -1,5 +1,6 @@
 """CLI subcommands: reports, exit codes, determinism, expectation mode."""
 
+import gc
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ksverify import catalog, colorability, orthograph
-from ksverify.catalog import builtin, serialize
+from ksverify.catalog import builtin, save_set, serialize
 from ksverify.cli import (
     EXIT_INCOMPLETE,
     EXIT_MISMATCH,
@@ -24,10 +25,31 @@ from ksverify.cli import (
 )
 
 
+SRC = str(Path(catalog.__file__).parent.parent)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def cli_process(*argv, script=None):
+    """`python -m ksverify.cli *argv` (or `python -c script`) in a fresh
+    process: (exit code, stdout, stderr)."""
+    cmd = ["-c", script] if script else ["-m", "ksverify.cli", *argv]
+    proc = subprocess.run([sys.executable, *cmd], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture(params=["main", "process"])
+def run_cli(request, capsys):
+    """The CLI as (exit code, stdout): in process through main(), or in a
+    fresh process that exits through cli.run()."""
+    if request.param == "main":
+        return lambda *argv: run(capsys, *argv)
+    return lambda *argv: cli_process(*argv)[:2]
 
 
 def test_verify_new33(capsys):
@@ -70,12 +92,12 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_game_exports(tmp_path, capsys):
+def test_game_exports(tmp_path, run_cli):
     """The new33 event and edge order, byte for byte."""
     graph = tmp_path / "g.dimacs"
     legend = tmp_path / "g.legend"
-    code, out = run(
-        capsys, "game", "new33",
+    code, out = run_cli(
+        "game", "new33",
         "--export-graph", str(graph), "--export-legend", str(legend),
     )
     assert code == EXIT_OK
@@ -84,11 +106,57 @@ def test_game_exports(tmp_path, capsys):
     assert sha256(legend) == "71802ac5a6ac753af309835f988de0a0b80ba3f2725793e9680239a0cb08ccf8"
 
 
-def test_verify_cnf_export(tmp_path, capsys):
+def test_verify_cnf_export(tmp_path, run_cli):
     """The new33 variable and clause order, byte for byte."""
     cnf = tmp_path / "new33.cnf"
-    assert run(capsys, "verify", "new33", "--export-cnf", str(cnf))[0] == EXIT_OK
+    assert run_cli("verify", "new33", "--export-cnf", str(cnf))[0] == EXIT_OK
     assert sha256(cnf) == "d459757f066c2cc956013c4c681691fe10fe29069330d07962e2b40cc0c938d4"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--expect-paper", "verify", "new33"], EXIT_OK),
+    (["sic", "--seed", "(1,1/0,0)"], EXIT_USAGE),
+    (["verify", "schuette33"], EXIT_MISSING_DATA),
+    # peres33's rays under the name new33
+    (["--expect-paper", "verify", "new33.json"], EXIT_MISMATCH),
+    (["minimal", "new33", "--budget", "0"], EXIT_INCOMPLETE),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_process_exits_like_main(argv, expected, tmp_path, monkeypatch, capsys):
+    """Each documented exit code, and the same output, through cli.run()."""
+    save_set(colorability.KSInstance("new33", builtin("peres33").graph.vertices),
+             tmp_path / "new33.json")
+    (tmp_path / "data").mkdir()
+    monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path / "data"))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == expected
+    assert cli_process(*argv) == (code, captured.out, captured.err)
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["verify", "new33"]) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_freezes_the_heap_before_exit():
+    script = ("import atexit, gc, sys\n"
+            "from ksverify import cli\n"
+            "frozen = gc.get_freeze_count()\n"
+            "atexit.register(lambda: print('froze:', gc.get_freeze_count() > frozen))\n"
+            "sys.argv[1:] = ['verify', 'new33']\n"
+            "cli.run()\n")
+    code, out, err = cli_process(script=script)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == "froze: True"
+
+
+def test_console_script_exits_through_run():
+    # read as text: Python 3.10 has no tomllib
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'ksverify = "ksverify.cli:run"' in text.splitlines()
 
 
 def test_timing_adds_one_stderr_line(capsys):
@@ -400,6 +468,8 @@ BAD_FILES = {
     # one basis and 8 pairwise non-orthogonal rays (1,k,1): 3! * 8! automorphisms
     "sym8.json": set_file(rays=E123 + [[[[0, 1, 1]], [[0, k, 1]], [[0, 1, 1]]]
                                        for k in range(1, 9)]),
+    # the ray (10^400, 1, 0) is exact, but beyond float range for majorana
+    "bigfloat.json": set_file(rays=E123 + [[[[0, 10**400, 1]], [[0, 1, 1]], []]]),
 }
 
 
@@ -440,6 +510,7 @@ BAD_FILES = {
     ["game", "conway31"],
     ["verify", "."],
     ["majorana", "new33", "--out", "nodir/x.csv"],
+    ["majorana", "bigfloat.json", "--out", "x.csv"],
     ["verify", "new33", "--export-cnf", "nodir/x.cnf"],
     ["game", "new33", "--export-graph", "nodir/g.txt"],
     ["game", "new33", "--export-legend", "nodir/l.txt"],
@@ -458,12 +529,14 @@ def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     # an error in a set file starts with the file's path
     is_set_file = argv[0] == "verify" and argv[1] in BAD_FILES
     prefix = f"error: {tmp_path / argv[1]}: " if is_set_file else "error: "
-    # "." is the temporary directory itself; nodir/ does not exist in it
-    argv = [str(tmp_path / a) if a in BAD_FILES or a == "." or a.startswith("nodir/")
-            else a for a in argv]
+    # "." is the temporary directory itself; nodir/ does not exist in it;
+    # x.csv is an export that must not be written
+    argv = [str(tmp_path / a) if a in BAD_FILES or a in (".", "x.csv")
+            or a.startswith("nodir/") else a for a in argv]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
+    assert not (tmp_path / "x.csv").exists()  # a failed export writes no file
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix)
     assert "Traceback" not in err
@@ -479,15 +552,12 @@ def test_bad_ray_error_line_is_short(text, tmp_path):
     # a fresh process: a deep set file parses only near the bottom of the stack
     path = tmp_path / "ray0.json"
     path.write_text(text)
-    src = str(Path(catalog.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-m", "ksverify.cli", "verify", str(path)],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == EXIT_USAGE
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: ")
-    assert "ray 0" in proc.stderr
-    assert len(proc.stderr.encode()) < 300
+    code, _, err = cli_process("verify", str(path))
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "ray 0" in err
+    assert len(err.encode()) < 300
 
 
 def test_many_problems_error_line_is_short(tmp_path, capsys):
