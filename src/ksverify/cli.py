@@ -20,6 +20,7 @@ from .colorability import KSInstance, find_ks_assignment
 from .game import (
     Game,
     build_game,
+    check_budget,
     classical_value,
     classical_value_twolevel,
     default_split,
@@ -264,6 +265,7 @@ def cmd_majorana(args) -> dict:
 def cmd_table1(args) -> dict:
     names = args.sets.split(",") if args.sets else [
         "schuette33", "conway31", "peres33", "penrose33", "new33"]
+    check_budget(args.budget)  # before any set loads, whether or not a search runs
     facts, shown, skipped = {}, [], []
     for name in names:
         try:

@@ -443,48 +443,34 @@ class Cyc:
 
     # -- display ---------------------------------------------------------------
 
-    def _unit_rational_split(self) -> tuple[int, Fraction] | None:
-        """(k, r) with self = r * zeta^k, if such a form exists."""
-        d, _ = self.minimal_form()
-        if d == 1:
-            return (0, self.as_fraction())
-        for k in range(1, d):
-            cand = self * Cyc.root_of_unity(d, d - k)
-            if cand.is_rational():
-                return (k, cand.as_fraction())
-        return None
-
     def __str__(self) -> str:
+        """The value as r*zeta_d^k if it is one, else as its power-basis terms.
+
+        d is the minimal conductor.  The conductor-d form is unique, so the
+        value is r*zeta_d^k iff its coefficients are r times power-table row
+        k; the first such k is shown (at even d, -zeta^k is also zeta^(k+d/2)).
+        """
         d, coeffs = self.minimal_form()
+        if d == 1:
+            return str(coeffs[0])
         sym = "w" if d == 3 else f"z{d}"
-        split = self._unit_rational_split()
-        if split is not None:
-            k, r = split
+
+        def term(r: Fraction, k: int) -> str:
             if k == 0:
                 return str(r)
             power = sym if k == 1 else f"{sym}^{k}"
-            if r == 1:
-                return power
-            if r == -1:
-                return f"-{power}"
-            return f"{r}*{power}"
-        terms = []
+            return power if r == 1 else f"-{power}" if r == -1 else f"{r}*{power}"
+
+        support = sum(1 for c in coeffs if c)
+        for k, row in enumerate(_power_table(d)):
+            r = coeffs[row[0][0]] / row[0][1]
+            if r and len(row) == support and all(coeffs[i] == r * t for i, t in row):
+                return term(r, k)
+        out = ""
         for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-                continue
-            power = sym if j == 1 else f"{sym}^{j}"
-            if c == 1:
-                terms.append(power)
-            elif c == -1:
-                terms.append(f"-{power}")
-            else:
-                terms.append(f"{c}*{power}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
+            if c:
+                t = term(c, j)
+                out += t if not out or t.startswith("-") else "+" + t
         return out
 
     def __repr__(self) -> str:

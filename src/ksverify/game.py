@@ -24,20 +24,21 @@ from .orthograph import bits, dimacs_edges, max_independent_set
 from .rays import Ray, inner, is_orthogonal, validate_basis
 
 
-class Context(namedtuple("Context", "x y shared_pairs orthogonal_pairs win_mask")):
+class Context(namedtuple("Context", "x y shared win_mask")):
     """One (x, y) basis pair with its exact win/lose pattern.
 
-    `shared_pairs` and `orthogonal_pairs` list the outputs (a, b) whose rays
-    are equal or orthogonal; bit 3*a+b of `win_mask` is set iff (a, b) wins.
+    `shared` is whether the two bases have a ray in common; bit 3*a+b of
+    `win_mask` is set iff outputs (a, b) win, that is iff their rays are
+    not orthogonal.
     """
 
     __slots__ = ()
 
     @property
     def kind(self) -> str:
-        if self.shared_pairs:
+        if self.shared:
             return "shared-vector"
-        if self.orthogonal_pairs:
+        if self.win_mask != 0o777:
             return "orthogonal-pair"
         return "free"
 
@@ -74,18 +75,14 @@ def build_game(alice_bases, bob_bases) -> Game:
     contexts = []
     for x, bx in enumerate(alice_bases):
         for y, by in enumerate(bob_bases):
-            shared = []
-            orth = []
+            shared = False
             win = 0
             for a, ra in enumerate(bx):
                 for b, rb in enumerate(by):
-                    if ra == rb:
-                        shared.append((a, b))
-                    if is_orthogonal(ra, rb):
-                        orth.append((a, b))
-                    else:
+                    shared = shared or ra == rb
+                    if not is_orthogonal(ra, rb):
                         win |= 1 << (3 * a + b)
-            contexts.append(Context(x, y, tuple(shared), tuple(orth), win))
+            contexts.append(Context(x, y, shared, win))
     return Game(alice_bases, bob_bases, tuple(contexts))
 
 
@@ -404,6 +401,12 @@ def _hits(sets: list[int], k: int) -> bool:
     return any(_hits([s for s in sets if not s >> j & 1], k - 1) for j in bits(m))
 
 
+def check_budget(budget_seconds: float | None) -> None:
+    """ValueError unless the budget is None or a nonnegative number (inf included)."""
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget {budget_seconds} is not a nonnegative number of seconds")
+
+
 def minimal_distribution_search(
     inst: KSInstance, budget_seconds: float | None = None
 ) -> MinimalSplitResult:
@@ -425,8 +428,7 @@ def minimal_distribution_search(
     and after each prefix while a level is built.  A NaN or negative
     budget raises ValueError.
     """
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise ValueError(f"budget {budget_seconds} is not a nonnegative number of seconds")
+    check_budget(budget_seconds)
     nb = len(inst.basis_indices)
     if nb == 0:
         return MinimalSplitResult(None, None, None, True, 0)

@@ -28,8 +28,13 @@ _SOUTH = (0.0, 0.0, -1.0)
 
 
 def _to_sphere(t: complex) -> tuple[float, float, float]:
-    d = 1.0 + abs(t) ** 2
-    return (2.0 * t.real / d, 2.0 * t.imag / d, (1.0 - abs(t) ** 2) / d)
+    try:
+        s = abs(t) ** 2
+    except OverflowError:  # a huge root: the same point through u = 1/t
+        u = 1 / t
+        s = abs(u) ** 2
+        return (2.0 * u.real / (1.0 + s), -2.0 * u.imag / (1.0 + s), (s - 1.0) / (1.0 + s))
+    return (2.0 * t.real / (1.0 + s), 2.0 * t.imag / (1.0 + s), (1.0 - s) / (1.0 + s))
 
 
 def majorana_points(

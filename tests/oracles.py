@@ -518,3 +518,20 @@ def fraction_minimal_form(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
         if sol is not None:
             return d, sol
     return n, tuple(coeffs)
+
+
+def fraction_unit_form(n: int, coeffs) -> tuple[int, int, Fraction] | None:
+    """(d, k, r) with the value r * zeta_d^k, d its minimal conductor, if any.
+
+    Tries k = 1 .. d - 1 in turn, as the display code once did: the value
+    is r * zeta_d^k iff its product with zeta_d^(d - k) is the rational r.
+    """
+    d, c = fraction_minimal_form(n, coeffs)
+    if d == 1:
+        return 1, 0, c[0]
+    table = fraction_power_table(d)
+    for k in range(1, d):
+        e, p = fraction_minimal_form(d, fraction_product(d, c, table[d - k]))
+        if e == 1:
+            return d, k, p[0]
+    return None

@@ -112,8 +112,10 @@ def test_criterion_04_game_structure(game45):
     orth = [c for c in game45.contexts if c.kind == "orthogonal-pair"]
     assert len(shared) == 9 and all(c.wins() == 5 for c in shared)
     assert len(orth) == 36
-    assert all(len(c.orthogonal_pairs) == 1 for c in orth)
-    assert all(c.wins() == 8 for c in orth)
+    for c in shared + orth:
+        common = set(game45.alice_bases[c.x]) & set(game45.bob_bases[c.y])
+        assert len(common) == (c in shared)
+    assert all(9 - c.wins() == 1 for c in orth)  # one orthogonal pair of outputs
     assert game45.total_winning_events() == 333
     ok("criterion 4: 45 contexts = 9 shared (5 winners) + 36 single-orthogonal-pair "
        "(8 winners); 333 winning events")

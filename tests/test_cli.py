@@ -278,6 +278,20 @@ def test_majorana_reads_conductor_2_mod_4_at_the_odd_half(tmp_path, capsys):
         assert csvs[name] == csvs["c3"], name
 
 
+def test_majorana_exports_a_root_beyond_the_square_range(tmp_path, capsys):
+    # the ray (1, 10^300, 0) has a root near sqrt(2) * 10^300, whose |t|^2
+    # overflows; its sphere point, next to the south pole, does not
+    path = tmp_path / "big.json"
+    path.write_text(set_file(rays=E123 + [[[[0, 1, 1]], [[0, 10**300, 1]], []]]))
+    out_csv = tmp_path / "big.csv"
+    code, out = run(capsys, "majorana", str(path), "--out", str(out_csv))
+    assert code == EXIT_OK
+    assert "wrote 8 sphere points" in out
+    big = '3,"(1,1' + "0" * 300 + ',0)"'
+    assert out_csv.read_text().splitlines()[-2:] == [
+        f"{big},1,0,0,1", f"{big},2,1.41421356237309e-300,-0,-1"]
+
+
 def test_table1(capsys):
     code, out = run(capsys, "--expect-paper", "table1")
     assert code == EXIT_OK
@@ -522,6 +536,8 @@ BAD_FILES = {
     ["minimal", "new33", "--budget", "-1"],
     ["table1", "--sets", "new33", "--budget", "nan"],
     ["table1", "--sets", "new33", "--budget", "-1"],
+    ["table1", "--sets", "yuoh13", "--budget", "-1"],
+    ["table1", "--minimal", "none", "--budget", "nan"],
 ], ids=" ".join)
 def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():

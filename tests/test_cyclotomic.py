@@ -291,6 +291,55 @@ def test_str_forms():
     assert str(-2 * W) == "-2*w"
     assert str(Cyc.zero()) == "0"
     assert str(Cyc.from_rational(Fraction(1, 2))) == "1/2"
+    # zeta_4^3 = -zeta_4: the first power in row order wins
+    assert str(Cyc.root_of_unity(4, 3)) == "-z4"
+    assert str(Cyc.root_of_unity(5, 4) / 2) == "1/2*z5^4"
+    assert str(Fraction(-3, 2) * W**2) == "-3/2*w^2"
+    assert str(sqrt2()) == "z8-z8^3"
+    assert str(W - 1) == "-1+w"
+
+
+def display_reference(value: Cyc) -> str:
+    """The display string from the oracle's unit form, else the power-basis terms."""
+    n, ref = value.n, tuple(Fraction(x, value.den) for x in value.num)
+    d, coeffs = oracles.fraction_minimal_form(n, ref)
+    sym = "w" if d == 3 else f"z{d}"
+
+    def term(r, k):
+        if k == 0:
+            return str(r)
+        power = sym if k == 1 else f"{sym}^{k}"
+        return {1: power, -1: "-" + power}.get(r, f"{r}*{power}")
+
+    unit = oracles.fraction_unit_form(n, ref)
+    if unit is not None:
+        return term(unit[2], unit[1])
+    terms = [term(c, k) for k, c in enumerate(coeffs) if c]
+    return terms[0] + "".join(t if t[0] == "-" else "+" + t for t in terms[1:])
+
+
+@st.composite
+def display_values(draw):
+    """Unit multiples r*zeta_n^k, sums of two signed roots, or random vectors."""
+    n = draw(st.sampled_from([3, 4, 5, 8, 9, 12, 15, 24]))
+    coeffs = [0] * n
+    kind = draw(st.sampled_from(["unit", "two roots", "vector"]))
+    if kind == "unit":
+        coeffs[draw(st.integers(0, n - 1))] = draw(small_fraction.filter(bool))
+    elif kind == "two roots":
+        for _ in range(2):
+            coeffs[draw(st.integers(0, n - 1))] += draw(st.sampled_from([1, -1]))
+    else:
+        coeffs = draw(st.lists(small_fraction, min_size=1, max_size=n))
+    return Cyc(n, coeffs)
+
+
+@given(display_values())
+@example(Cyc.root_of_unity(4, 3))
+@example(Cyc.root_of_unity(24, 21) * 3)
+@example(Cyc(8, [0, 1, 0, -1]))
+def test_str_matches_unit_form_reference(value):
+    assert str(value) == display_reference(value)
 
 
 # `bench/test_counters.py` pins how many Cyc values a `game new33` run
@@ -341,6 +390,15 @@ def test_canonical_queries_build_no_value(n, built):
     for u in values:
         for v in values:
             assert (u == v) == (u.minimal_form() == v.minimal_form())
+    assert built == []
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_str_builds_no_value(n, built):
+    values = samples(n) + samples(lcm(n, 3)) + [Cyc.root_of_unity(n, k) for k in range(n)]
+    built.clear()
+    for v in values:  # the minimal forms are not cached yet
+        str(v)
     assert built == []
 
 

@@ -72,12 +72,16 @@ def test_context_classification(game45):
     assert [(c.x, c.y) for c in game45.contexts] == list(itertools.product(range(5), range(9)))
     assert len(kinds["shared-vector"]) == 9
     assert len(kinds["orthogonal-pair"]) == 36
+
+    def common(c):
+        return set(game45.alice_bases[c.x]) & set(game45.bob_bases[c.y])
+
     for c in kinds["shared-vector"]:
-        assert len(c.shared_pairs) == 1
+        assert len(common(c)) == 1
         assert c.wins() == 5
     for c in kinds["orthogonal-pair"]:
-        assert len(c.orthogonal_pairs) == 1
-        assert c.wins() == 8
+        assert not common(c)
+        assert 9 - c.wins() == 1  # one orthogonal pair of outputs
 
 
 def test_total_winning_events(game45):

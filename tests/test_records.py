@@ -20,7 +20,7 @@ RECORDS = {
     AutGroupReport: "elements orbits",
     ColoringViolation: "kind detail",
     SearchResult: "satisfiable ones nodes",
-    Context: "x y shared_pairs orthogonal_pairs win_mask",
+    Context: "x y shared win_mask",
     Game: "alice_bases bob_bases contexts",
     Strategy: "alice bob",
     GameValue: "classical witness",
