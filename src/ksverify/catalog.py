@@ -30,8 +30,6 @@ from .colorability import KSInstance
 from .cyclotomic import Cyc, check_conductor, omega
 from .rays import Ray, validate_basis
 
-DATA_DIR_ENV = "KSVERIFY_DATA_DIR"
-
 X3_CORRECTION_NOTE = (
     "basis x=3: third vector corrected to the unique orthogonal completion "
     "(1,-w^2,w) of (1,-w,w^2) and (1,-1,1); the commonly printed third "
@@ -91,28 +89,16 @@ def yuoh13_rays() -> list[Ray]:
     ]
 
 
-def data_dir() -> Path:
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
-
-
-BUILTIN_NAMES = ("new33", "yuoh13", "peres33", "conway31", "schuette33", "penrose33")
-
-_FILE_BACKED = {
-    "peres33": "peres33.json",
-    "conway31": "conway31.json",
-    "schuette33": "schuette33.json",
-    "penrose33": "penrose33.json",
-}
-
 # Sets built in code: their ray list (new33's basis by basis, so repeated)
 # and the notes of their instance.
 _CODE_BUILT = {
     "new33": (lambda: [r for basis in new33_bases() for r in basis], (X3_CORRECTION_NOTE,)),
     "yuoh13": (yuoh13_rays, ()),
 }
+
+# Every other shipped name is read from <name>.json in $KSVERIFY_DATA_DIR,
+# if set, else in the package's data/.
+BUILTIN_NAMES = (*_CODE_BUILT, "peres33", "conway31", "schuette33", "penrose33")
 
 _CACHE: dict[str, KSInstance] = {}
 
@@ -131,8 +117,9 @@ def builtin(name: str) -> KSInstance:
     if name in _CODE_BUILT:
         rays, notes = _CODE_BUILT[name]
         inst = KSInstance(name, rays(), notes=notes)
-    elif name in _FILE_BACKED:
-        path = data_dir() / _FILE_BACKED[name]
+    elif name in BUILTIN_NAMES:
+        data = os.environ.get("KSVERIFY_DATA_DIR") or Path(__file__).parent / "data"
+        path = Path(data, f"{name}.json")
         if not path.exists():
             raise MissingDataError(
                 f"no coordinate data for {name!r}: expected {path}; "
@@ -143,6 +130,17 @@ def builtin(name: str) -> KSInstance:
         raise ValueError(f"unknown set {name!r}; known: {', '.join(BUILTIN_NAMES)}")
     _CACHE[name] = inst
     return inst
+
+
+def instance(name_or_path: str) -> KSInstance:
+    """A shipped set by name, else the set file at that path."""
+    if name_or_path in BUILTIN_NAMES:
+        return builtin(name_or_path)
+    if os.path.exists(name_or_path):
+        return load_set(name_or_path)
+    raise MissingDataError(
+        f"{name_or_path!r} is neither a builtin set "
+        f"({', '.join(BUILTIN_NAMES)}) nor an existing file")
 
 
 def load_set(path) -> KSInstance:

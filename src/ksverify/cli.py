@@ -9,13 +9,12 @@ computed quantity matches the published reference values.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import catalog
-from .catalog import MissingDataError, builtin, builtin_rays, load_set, summary_table
+from .catalog import MissingDataError, builtin_rays, instance, summary_table
 from .colorability import KSInstance, find_ks_assignment
 from .game import (
     Game,
@@ -71,19 +70,9 @@ def mismatches(facts: dict) -> list[str]:
             if key in EXPECTED.get(name, {}) and value != EXPECTED[name][key]]
 
 
-def _get_instance(name_or_path: str) -> KSInstance:
-    if name_or_path in catalog.BUILTIN_NAMES:
-        return builtin(name_or_path)
-    if os.path.exists(name_or_path):
-        return load_set(name_or_path)
-    raise MissingDataError(
-        f"{name_or_path!r} is neither a builtin set "
-        f"({', '.join(catalog.BUILTIN_NAMES)}) nor an existing file")
-
-
 def _load(name_or_path: str) -> KSInstance:
     """A builtin set or set file, after printing its notes."""
-    inst = _get_instance(name_or_path)
+    inst = instance(name_or_path)
     for note in inst.notes:
         print(f"note: {note}")
     return inst
@@ -269,7 +258,7 @@ def cmd_table1(args) -> dict:
     facts, shown, skipped = {}, [], []
     for name in names:
         try:
-            inst = _get_instance(name)
+            inst = instance(name)
         except MissingDataError as exc:
             skipped.append((name, str(exc)))
             continue

@@ -25,15 +25,7 @@ from operator import mul
 
 @functools.cache
 def _divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    return tuple(d for d in range(1, n + 1) if not n % d)
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:

@@ -346,7 +346,7 @@ def _subset(mask: int, nb: int) -> tuple[int, ...]:
     return tuple(nb - 1 - j for j in bits(mask))[::-1]
 
 
-def _levels(group, W, nb: int, out_of_time):
+def _levels(group, W, nb: int, deadline: float):
     """The canonical subsets of range(nb) of each size 1, 2, ..., one level per size.
 
     A level lists the lex-least subset of each group orbit, in lex order,
@@ -361,7 +361,8 @@ def _levels(group, W, nb: int, out_of_time):
     entry tries the entry's state with the new basis's 3 rows, and runs
     its own DFS only when all 3 fail; a child of an unwinnable entry is
     unwinnable.  A level is emptied while the next is built from it.
-    `out_of_time()` is asked after each entry; when true, the levels stop.
+    The levels stop after any entry that ends at or past `deadline`, a
+    `time.monotonic()` reading.
     """
     low = int("001" * nb, 2)
     columns = [tuple(1 << nb - 1 - p[x] for p in group) for x in range(nb)]
@@ -385,7 +386,7 @@ def _levels(group, W, nb: int, out_of_time):
                     else:
                         s = _perfect_state(_subset(child[0], nb), W, low)
                 out.append((child, s))
-            if out_of_time():
+            if time.monotonic() >= deadline:
                 return
         yield out
         level = out
@@ -401,14 +402,14 @@ def _hits(sets: list[int], k: int) -> bool:
     return any(_hits([s for s in sets if not s >> j & 1], k - 1) for j in bits(m))
 
 
-def check_budget(budget_seconds: float | None) -> None:
-    """ValueError unless the budget is None or a nonnegative number (inf included)."""
-    if budget_seconds is not None and not budget_seconds >= 0:
+def check_budget(budget_seconds: float) -> None:
+    """ValueError unless the budget is a nonnegative number (inf included)."""
+    if not budget_seconds >= 0:
         raise ValueError(f"budget {budget_seconds} is not a nonnegative number of seconds")
 
 
 def minimal_distribution_search(
-    inst: KSInstance, budget_seconds: float | None = None
+    inst: KSInstance, budget_seconds: float = float("inf")
 ) -> MinimalSplitResult:
     """Smallest |X|*|Y| basis split admitting no perfect classical strategy.
 
@@ -424,8 +425,9 @@ def minimal_distribution_search(
     refutable Y of size b exists iff some b bases meet every such set, so
     a small hitting-set decision gates the lex-first scan for Y, and a
     size class with no hit adds its count of canonical X to
-    `candidates_checked`.  The budget is checked once per (product, size)
-    and after each prefix while a level is built.  A NaN or negative
+    `candidates_checked`.  The budget is a `time.monotonic()` deadline,
+    checked once per (product, size) and after each prefix while a level
+    is built, so a budget of 0 stops at the first check.  A NaN or negative
     budget raises ValueError.
     """
     check_budget(budget_seconds)
@@ -435,12 +437,8 @@ def minimal_distribution_search(
     group = _basis_permutation_group(inst, inst.graph.group.elements)
     W = _win_table(inst)
     low_bits = [1 << 3 * j for j in range(nb)]  # basis j as a Bob-answer bit
-    start = time.monotonic()
-
-    def out_of_time() -> bool:
-        return budget_seconds is not None and time.monotonic() - start > budget_seconds
-
-    levels = _levels(group, W, nb, out_of_time)
+    deadline = time.monotonic() + budget_seconds
+    levels = _levels(group, W, nb, deadline)
     classes = []  # per size: (canonical X count, [(index, X, bad sets)] with no perfect strategy)
     checked = 0
     for product in range(1, nb * nb + 1):
@@ -450,7 +448,7 @@ def minimal_distribution_search(
             b = product // a
             if a > b or b > nb:
                 continue
-            if out_of_time():
+            if time.monotonic() >= deadline:
                 return MinimalSplitResult(None, None, None, False, checked)
             if a > len(classes):  # a == b: the first product that needs size a
                 level = next(levels, None)
@@ -459,7 +457,7 @@ def minimal_distribution_search(
                 unwinnable = []
                 for index, (images, state) in enumerate(level):
                     if state is None:
-                        if out_of_time():
+                        if time.monotonic() >= deadline:
                             return MinimalSplitResult(None, None, None, False, checked)
                         X = _subset(images[0], nb)
                         unwinnable.append((index, X, _bad_sets_for(X, W, nb)))

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from ksverify.catalog import (
     MissingDataError,
     builtin,
     builtin_rays,
+    instance,
     load_set,
     new33_bases,
     save_set,
@@ -97,6 +99,41 @@ def test_penrose_slot_is_polite(tmp_path, monkeypatch):
             builtin("penrose33")
     finally:
         cat._CACHE.clear()
+
+
+def test_instance_of_a_shipped_name_is_the_cached_builtin():
+    assert instance("new33") is builtin("new33")
+    assert instance("peres33") is builtin("peres33")
+
+
+def test_instance_of_a_path_is_loaded_by_load_set(tmp_path, monkeypatch):
+    import ksverify.catalog as cat
+
+    path = tmp_path / "mine.json"
+    save_set(builtin("yuoh13"), path)
+    loaded = []
+    monkeypatch.setattr(cat, "load_set", lambda p: loaded.append(p) or load_set(p))
+    inst = instance(str(path))
+    assert loaded == [str(path)]
+    assert inst.graph.vertices == builtin("yuoh13").graph.vertices
+
+
+def test_instance_of_an_unknown_name_is_missing_data():
+    with pytest.raises(MissingDataError) as info:
+        instance("nosuchset")
+    assert str(info.value) == (
+        "'nosuchset' is neither a builtin set (new33, yuoh13, peres33, conway31, "
+        "schuette33, penrose33) nor an existing file")
+
+
+def test_instance_of_a_file_backed_name_needs_its_data_file(tmp_path, monkeypatch):
+    import ksverify.catalog as cat
+
+    monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
+    monkeypatch.setattr(cat, "_CACHE", {})
+    with pytest.raises(MissingDataError, match="expected " + re.escape(
+            str(tmp_path / "peres33.json")) + ";"):
+        instance("peres33")
 
 
 def test_roundtrip_serialization(tmp_path):

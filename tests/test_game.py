@@ -280,6 +280,7 @@ def test_budget_flag_reports_incomplete():
     inst = builtin("new33")
     result = minimal_distribution_search(inst, budget_seconds=0.0)
     assert not result.complete
+    assert result.candidates_checked == 0  # the deadline has passed at the first check
 
 
 @st.composite
@@ -377,7 +378,7 @@ def test_bad_sets_match_leaf_scan_on_synthetic_tables(table):
 
 def _level_subsets(group, table, nb: int):
     """Each level of the split search as [(X, state)], read before the next is built."""
-    for level in _levels(group, table, nb, lambda: False):
+    for level in _levels(group, table, nb, float("inf")):
         yield [(_subset(images[0], nb), state) for images, state in level]
 
 

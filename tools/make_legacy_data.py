@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ksverify.catalog import save_set
 from ksverify.cli import EXPECTED
 from ksverify.colorability import KSInstance, find_ks_assignment
-from ksverify.cyclotomic import Cyc, sqrt2
+from ksverify.cyclotomic import sqrt2
 from ksverify.rays import Ray
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "ksverify" / "data"
@@ -28,10 +28,7 @@ def signed_perms(base) -> list[Ray]:
     out = set()
     for perm in permutations(base):
         for signs in product([1, -1], repeat=3):
-            comps = tuple(Cyc._as_cyc(s) * Cyc._as_cyc(c) for s, c in zip(signs, perm))
-            if all(c.is_zero() for c in comps):
-                continue
-            out.add(Ray(comps))
+            out.add(Ray(tuple(s * c for s, c in zip(signs, perm))))
     return sorted(out, key=Ray.sort_key)
 
 
