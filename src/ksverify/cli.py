@@ -78,12 +78,22 @@ def _load(name_or_path: str) -> KSInstance:
     return inst
 
 
+def _indices(flag: str, text: str) -> list[int]:
+    """The comma-separated basis indices given to `flag`."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(int(entry))
+        except ValueError:
+            raise ValueError(f"{flag} entry {entry!r} is not a basis index") from None
+    return out
+
+
 def _game_from_args(inst: KSInstance, args) -> Game:
     if args.alice or args.bob:
         if not (args.alice and args.bob):
             raise ValueError("--alice and --bob must be given together")
-        ax = [int(t) for t in args.alice.split(",")]
-        bx = [int(t) for t in args.bob.split(",")]
+        ax, bx = _indices("--alice", args.alice), _indices("--bob", args.bob)
     else:
         ax, bx = default_split(inst)
         if not ax or not bx:

@@ -20,12 +20,16 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 
 @functools.cache
 def _divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if not n % d)
+
+
+@functools.cache
+def _primes(n: int) -> tuple[int, ...]:
+    return tuple(d for d in _divisors(n)[1:] if len(_divisors(d)) == 2)
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
@@ -109,39 +113,8 @@ def _integral(coeffs: list, den) -> tuple[list[int], int]:
     return num, abs(den) * scale
 
 
-@functools.cache
-def _subfield_solver(n: int, d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(P, pden) for the subfield Q(zeta_d) of Q(zeta_n).
-
-    If conductor-n coefficients t give a value in Q(zeta_d), its conductor-d
-    coefficients are P t / pden.  P is the first phi(d) rows of the
-    row-operation matrix that brings the subfield basis
-    zeta_d^j = zeta_n^(j n/d), j < phi(d), to the unit columns (that basis
-    has full column rank), scaled to integers.
-    """
-    table = _power_table(n)
-    phi, k, step = _phi(n), _phi(d), n // d
-    rows = [[Fraction(0)] * k + [Fraction(int(i == r)) for r in range(phi)]
-            for i in range(phi)]
-    for j in range(k):
-        for i, c in table[step * j]:
-            rows[i][j] = Fraction(c)
-    for c in range(k):
-        pivot = next(i for i in range(c, phi) if rows[i][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for i in range(phi):
-            f = rows[i][c]
-            if i != c and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    pden = lcm(*(x.denominator for row in rows[:k] for x in row[k:]))
-    return tuple(tuple(int(x * pden) for x in row[k:]) for row in rows[:k]), pden
-
-
 # The largest conductor the tests build, lcm(5, 8, 9).  Tables for conductor
-# n hold O(n * phi(n)) integers, and each subfield solver O(phi(n)^2), so an
-# untrusted n is checked before them.
+# n hold O(n * phi(n)) integers, so an untrusted n is checked before them.
 MAX_CONDUCTOR = 360
 
 
@@ -254,9 +227,6 @@ class Cyc:
     def __sub__(self, other) -> "Cyc":
         return self.__add__(other, -1)
 
-    def __rsub__(self, other) -> "Cyc":
-        return Cyc._as_cyc(other) - self
-
     def __neg__(self) -> "Cyc":
         return Cyc(self.n, [-c for c in self.num], self.den)
 
@@ -323,9 +293,6 @@ class Cyc:
     def __truediv__(self, other) -> "Cyc":
         return self * Cyc._as_cyc(other).inverse()
 
-    def __rtruediv__(self, other) -> "Cyc":
-        return Cyc._as_cyc(other) * self.inverse()
-
     def conj(self) -> "Cyc":
         """Complex conjugation: zeta_n -> zeta_n^(-1), extended linearly."""
         return self._power_map(self.n, -1)
@@ -336,27 +303,39 @@ class Cyc:
         return not any(self.num)
 
     def minimal_form(self) -> tuple[int, tuple[Fraction, ...]]:
-        """(conductor, coeffs) over the smallest cyclotomic field containing the value."""
+        """(conductor, coeffs) over the smallest cyclotomic field containing the value.
+
+        One pass over the primes p of n, each descending to m = n/p while the
+        value lies in Q(zeta_m).  A prime that fails at n fails at every
+        divisor of n, and Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a,b)), so the
+        pass ends at the least conductor.  Integers only, same denominator.
+        """
         cached = self._minimal
         if cached is not None:
             return cached
         n, num, den = self.n, self.num, self.den
         if not any(num[1:]):  # the power basis starts with 1: a rational value
             n, num = 1, num[:1]
-        table = _power_table(n)
-        for d in _divisors(n)[1:-1]:  # not Q itself: only a rational value lies in Q
-            if d % 4 == 2:
-                continue
-            p, pden = _subfield_solver(n, d)
-            x = [sum(map(mul, row, num)) for row in p]
-            back = [0] * len(num)  # pden * the value, if it lies in Q(zeta_d)
-            for j, c in enumerate(x):
-                if c:
-                    for i, t in table[j * (n // d)]:
-                        back[i] += c * t
-            if back == [pden * c for c in num]:
-                n, num, den = d, x, den * pden
-                break
+        for p in _primes(n):
+            while n % p == 0 and n != p:  # at n = p only a rational lies in Q
+                m = n // p
+                if m % p == 0:  # Phi_n(x) = Phi_m(x^p): basis zeta_n^i * zeta_m^k, i < p
+                    if any(any(num[i::p]) for i in range(1, p)):
+                        break
+                    num = num[::p]
+                else:  # zeta_n^j = zeta_m^(j*u) * zeta_p^(j*w), gcd(m, p) = 1
+                    u, w = pow(p, -1, m), pow(m, -1, p)
+                    parts = [[0] * m for _ in range(p)]
+                    for j, c in enumerate(num):
+                        if c:
+                            parts[j * w % p][j * u % m] += c
+                    # the value is sum(A_k * zeta_p^k), A_k in Q(zeta_m), and
+                    # 1 + zeta_p + ... + zeta_p^(p-1) = 0 is the only relation
+                    a1 = _reduce(m, parts[1])
+                    if any(_reduce(m, a) != a1 for a in parts[2:]):
+                        break
+                    num = [x - y for x, y in zip(_reduce(m, parts[0]), a1)]
+                n = m
         result = (n, tuple(Fraction(x, den) for x in num))
         _set_minimal(self, result)
         return result

@@ -246,6 +246,15 @@ def test_sic_negative(capsys):
     assert "SIC-POVM: False" in out
 
 
+def test_sic_output_across_conductors_is_pinned(capsys):
+    # it prints values at conductors 5, 9, 15 and 45
+    code, out = run(capsys, "sic", "--seed", "(1,z18,z10^3)")
+    assert code == EXIT_OK
+    assert "(1,-z15^8,z45^19)" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "abf300529a6d7703b4da156745a05152c29927bb7de2e02d0d905ff15393c9d3")
+
+
 def test_majorana(tmp_path, capsys):
     out_csv = tmp_path / "m.csv"
     code, out = run(capsys, "majorana", "new33", "--out", str(out_csv))
@@ -519,6 +528,8 @@ BAD_FILES = {
     ["sic", "--seed", "(1,1)"],
     ["generate", "--seed", "(1,0,0)", "--gens", "Q"],
     ["game", "new33", "--alice", "a", "--bob", "1"],
+    ["game", "new33", "--alice", "0", "--bob", "1,x"],
+    ["game", "new33", "--alice", ",", "--bob", "1"],
     ["game", "new33", "--alice", "99", "--bob", "1"],
     ["game", "new33", "--alice", "0"],
     ["game", "conway31"],
@@ -556,6 +567,11 @@ def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+def test_bad_basis_index_names_flag_and_entry(capsys):
+    assert main(["game", "new33", "--alice", "0,1", "--bob", "1,x"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --bob entry 'x' is not a basis index\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -2,6 +2,7 @@
 integer representation against per-coefficient Fraction arithmetic."""
 
 import cmath
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, strategies as st
 from ksverify.cyclotomic import (
     MAX_CONDUCTOR,
     Cyc,
+    _phi,
     _power_table,
     cyclotomic_polynomial,
     omega,
@@ -263,6 +265,19 @@ def test_conj_inverse_minimal_form_match_fraction_reference(a, factor):
     assert up.minimal_form() == oracles.fraction_minimal_form(up.n, reference(up))
     if not a.is_zero():
         assert reference(a.inverse()) == oracles.fraction_inverse(a.n, ra)
+
+
+@pytest.mark.parametrize("n, d", [(360, 45), (189, 27), (120, 15), (90, 9)])
+def test_minimal_form_matches_fraction_reference_at_high_conductors(n, d):
+    # beyond the conductors cyc_numbers reach: a value of Q(zeta_d) embedded
+    # at n, and one that needs all of Q(zeta_n) (Q(zeta_45) at n = 90)
+    rng = random.Random(n)
+    sub = Cyc(d, [rng.randint(-3, 3) for _ in range(_phi(d))], 4) + Cyc(n, [])
+    full = Cyc(n, [rng.randint(-3, 3) for _ in range(_phi(n))], 6)
+    for value, conductor in ((sub, d), (full, n // 2 if n % 4 == 2 else n)):
+        assert value.n == n
+        assert value.minimal_form() == oracles.fraction_minimal_form(n, reference(value))
+        assert value.minimal_form()[0] == conductor
 
 
 @given(cyc_numbers(), cyc_numbers())
