@@ -132,15 +132,20 @@ def builtin(name: str) -> KSInstance:
     return inst
 
 
-def instance(name_or_path: str) -> KSInstance:
-    """A shipped set by name, else the set file at that path."""
-    if name_or_path in BUILTIN_NAMES:
-        return builtin(name_or_path)
-    if os.path.exists(name_or_path):
-        return load_set(name_or_path)
+def check_name(name_or_path: str) -> str:
+    """name_or_path, if it names a shipped set or an existing path; else MissingDataError."""
+    if name_or_path in BUILTIN_NAMES or os.path.exists(name_or_path):
+        return name_or_path
     raise MissingDataError(
         f"{name_or_path!r} is neither a builtin set "
         f"({', '.join(BUILTIN_NAMES)}) nor an existing file")
+
+
+def instance(name_or_path: str) -> KSInstance:
+    """A shipped set by name, else the set file at that path."""
+    if check_name(name_or_path) in BUILTIN_NAMES:
+        return builtin(name_or_path)
+    return load_set(name_or_path)
 
 
 def load_set(path) -> KSInstance:

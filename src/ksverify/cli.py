@@ -9,12 +9,13 @@ computed quantity matches the published reference values.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
 
 from . import catalog
-from .catalog import MissingDataError, builtin_rays, instance, summary_table
+from .catalog import MissingDataError, builtin_rays, check_name, instance, summary_table
 from .colorability import KSInstance, find_ks_assignment
 from .game import (
     Game,
@@ -89,21 +90,21 @@ def _indices(flag: str, text: str) -> list[int]:
     return out
 
 
-def _game_from_args(inst: KSInstance, args) -> Game:
-    if args.alice or args.bob:
-        if not (args.alice and args.bob):
-            raise ValueError("--alice and --bob must be given together")
-        ax, bx = _indices("--alice", args.alice), _indices("--bob", args.bob)
-    else:
-        ax, bx = default_split(inst)
-        if not ax or not bx:
-            raise ValueError(
-                f"no default basis split for {inst.name}; pass --alice and --bob")
+def _split_from_args(args) -> tuple[list[int], list[int]] | None:
+    """The --alice and --bob basis indices, or None if neither is given."""
+    if bool(args.alice) != bool(args.bob):
+        raise ValueError("--alice and --bob must be given together")
+    return (_indices("--alice", args.alice), _indices("--bob", args.bob)) if args.alice else None
+
+
+def _game_from_split(inst: KSInstance, split) -> Game:
+    ax, bx = split or default_split(inst)
+    if not ax or not bx:
+        raise ValueError(f"no default basis split for {inst.name}; pass --alice and --bob")
     bases = [[inst.graph.vertices[v] for v in triple] for triple in inst.basis_indices]
     for i in ax + bx:
         if not 0 <= i < len(bases):
-            raise ValueError(
-                f"basis index {i} out of range 0..{len(bases) - 1}")
+            raise ValueError(f"basis index {i} out of range 0..{len(bases) - 1}")
     return build_game([bases[i] for i in ax], [bases[i] for i in bx])
 
 
@@ -156,16 +157,15 @@ def cmd_symmetry(args) -> dict:
 def cmd_game(args) -> dict | int:
     if args.export_legend and not args.export_graph:
         raise ValueError("--export-legend needs --export-graph")
+    split = _split_from_args(args)  # before the set loads and prints its notes
     inst = _load(args.set)
-    game = _game_from_args(inst, args)
-    kinds: dict[str, int] = {}
-    for c in game.contexts:
-        kinds[c.kind] = kinds.get(c.kind, 0) + 1
+    game = _game_from_split(inst, split)
     print(f"game on {inst.name}: |X| = {len(game.alice_bases)}, "
           f"|Y| = {len(game.bob_bases)}, contexts = {game.n_contexts()}")
-    for kind in sorted(kinds):
-        wins = sorted({c.wins() for c in game.contexts if c.kind == kind})
-        print(f"  {kinds[kind]} {kind} contexts, winning events per context: {wins}")
+    for kind in sorted({c.kind for c in game.contexts}):
+        of_kind = [c for c in game.contexts if c.kind == kind]
+        wins = sorted({c.wins() for c in of_kind})
+        print(f"  {len(of_kind)} {kind} contexts, winning events per context: {wins}")
     total = game.total_winning_events()
     print(f"total winning events: {total}")
     value = classical_value(game)
@@ -262,9 +262,10 @@ def cmd_majorana(args) -> dict:
 
 
 def cmd_table1(args) -> dict:
-    names = args.sets.split(",") if args.sets else [
-        "schuette33", "conway31", "peres33", "penrose33", "new33"]
     check_budget(args.budget)  # before any set loads, whether or not a search runs
+    # a name that resolves to nothing fails the table; a shipped set without its file is skipped
+    names = [check_name(name) for name in args.sets.split(",")] if args.sets else [
+        "schuette33", "conway31", "peres33", "penrose33", "new33"]
     facts, shown, skipped = {}, [], []
     for name in names:
         try:
@@ -365,6 +366,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         facts = args.func(args)
+    except BrokenPipeError:  # a closed stdout is not bad input: run() ends the process
+        raise
     except MissingDataError as exc:  # before OSError: it is a FileNotFoundError
         print(f"missing data: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
@@ -392,10 +395,18 @@ def run() -> None:
     returns, stdout and stderr are flushed at exit either way, and nothing
     in the package defines __del__. main() never freezes, so in-process
     callers keep a normal heap.
+
+    A closed stdout (`ksverify ... | head`) exits 1 with nothing on stderr,
+    stdout pointed at os.devnull so that the exit flush cannot fail again.
     """
     import gc
 
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

@@ -23,46 +23,42 @@ from math import gcd, lcm
 
 
 @functools.cache
-def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if not n % d)
-
-
-@functools.cache
 def _primes(n: int) -> tuple[int, ...]:
-    return tuple(d for d in _divisors(n)[1:] if len(_divisors(d)) == 2)
-
-
-def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (remainder must be zero)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
-        q[i] = c // den[-1]
-        for j, d in enumerate(den):
-            num[i + j] -= q[i] * d
-    assert all(c == 0 for c in num)
-    return q
-
-
-@functools.cache
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending powers, monic, degree phi(n)."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1  # x^n - 1
-    for d in _divisors(n):
-        if d < n:
-            poly = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    """The primes dividing n, ascending, by trial division."""
+    return tuple(p for p in range(2, n + 1) if not n % p and all(p % q for q in range(2, p)))
 
 
 @functools.cache
 def _phi(n: int) -> int:
-    """phi(n) of a conductor; ValueError, which is not cached, for a bad one."""
-    return len(cyclotomic_polynomial(check_conductor(n))) - 1
+    """phi(n) = n * prod(1 - 1/p) of a conductor; ValueError, not cached, for a bad one."""
+    phi = check_conductor(n)
+    for p in _primes(n):
+        phi -= phi // p
+    return phi
+
+
+@functools.cache
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, ascending powers, monic, degree phi(n).
+
+    For n > 1, Phi_n(x) = prod over squarefree d | n of (1 - x^(n/d))^mu(d),
+    taken mod x^(phi(n)+1): multiplying by 1 - x^k is a running difference
+    with stride k, dividing by it a running sum.
+    """
+    if n == 1:
+        return (-1, 1)
+    poly = [1] + [0] * _phi(n)
+    strides = [(n, 1)]  # (n/d, mu(d)) for the squarefree divisors d of n
+    for p in _primes(n):
+        strides += [(k // p, -mu) for k, mu in strides]
+    for k, mu in strides:
+        if mu > 0:  # times 1 - x^k, high powers first
+            for i in range(len(poly) - 1, k - 1, -1):
+                poly[i] -= poly[i - k]
+        else:  # over 1 - x^k, low powers first
+            for i in range(k, len(poly)):
+                poly[i] += poly[i - k]
+    return tuple(poly)
 
 
 @functools.cache
@@ -241,19 +237,6 @@ class Cyc:
         return Cyc(n, _reduce(n, prod), a.den * b.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Cyc":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyc.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def inverse(self) -> "Cyc":
         """Multiplicative inverse via fraction-free extended Euclid against Phi_n.

@@ -11,7 +11,8 @@ permutation scan, the full automorphism backtrack (every leaf, no
 stabilizer chain), a product closure and a union-find for automorphism
 groups, monomial maps applied to the rays themselves for a group found
 from the graph, and per-coefficient Fraction arithmetic with per-call
-Gaussian elimination for cyclotomic numbers.
+Gaussian elimination for cyclotomic numbers, over its own Phi_n (long
+division of x^n - 1) and phi(n) (a count of the units mod n).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
+from math import gcd
 
 
 def alpha_exhaustive(adj: list[int]) -> int:
@@ -407,24 +409,41 @@ def bad_sets_bruteforce(inst, x_indices) -> set[frozenset[int]] | None:
 # -- per-coefficient Fraction arithmetic in Q(zeta_n) ------------------------------
 #
 # A value is a tuple of phi(n) Fractions on the power basis 1, zeta_n, ...
-# Products are schoolbook, reduction folds each power past phi(n) by a
-# Fraction power table, and subfield coordinates and inverses come from
-# Gaussian elimination over Fractions on every call.
+# phi(n) counts the units mod n and Phi_n comes from long division of
+# x^n - 1, neither from the package.  Products are schoolbook, reduction
+# folds each power past phi(n) by a Fraction power table, and subfield
+# coordinates and inverses come from Gaussian elimination over Fractions on
+# every call.
 
 
+@cache
 def _fraction_phi(n: int) -> int:
-    from ksverify.cyclotomic import cyclotomic_polynomial
+    """phi(n) as the count of units mod n."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
-    return len(cyclotomic_polynomial(n)) - 1
+
+@cache
+def cyclotomic_polynomial_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n as the exact quotient of x^n - 1 by every Phi_d, d | n, d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if not n % d:
+            den = cyclotomic_polynomial_by_division(d)
+            q = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(q) - 1, -1, -1):  # den is monic
+                q[i] = poly[i + len(den) - 1]
+                for j, c in enumerate(den):
+                    poly[i + j] -= q[i] * c
+            assert not any(poly), f"Phi_{d} does not divide"
+            poly = q
+    return tuple(poly)
 
 
 @cache
 def fraction_power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """zeta_n^j reduced modulo Phi_n as phi(n) Fractions, j = 0 .. n - 1."""
-    from ksverify.cyclotomic import cyclotomic_polynomial
-
     phi = _fraction_phi(n)
-    top = [Fraction(-c) for c in cyclotomic_polynomial(n)[:phi]]
+    top = [Fraction(-c) for c in cyclotomic_polynomial_by_division(n)[:phi]]
     table = []
     current = [Fraction(1)] + [Fraction(0)] * (phi - 1)
     for _ in range(n):

@@ -26,6 +26,7 @@ from ksverify.rays import Ray
 from oracles import basis_rays
 
 W = omega()
+W2 = W * W
 
 
 def ray(*components):
@@ -41,11 +42,11 @@ def test_new33_shape():
 
 def test_new33_contains_corrected_x3_basis():
     inst = builtin("new33")
-    corrected = {ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, -W, 1)}
+    corrected = {ray(1, -W, W2), ray(1, -1, 1), ray(W2, -W, 1)}
     assert any(set(b) == corrected for b in basis_rays(inst))
-    assert ray(W**2, W, 1) in inst.graph.vertices  # still present, via x=1
+    assert ray(W2, W, 1) in inst.graph.vertices  # still present, via x=1
     # the printed x=3 third vector as a triple is not a basis of the set
-    printed = {ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, W, 1)}
+    printed = {ray(1, -W, W2), ray(1, -1, 1), ray(W2, W, 1)}
     assert not any(set(b) == printed for b in basis_rays(inst))
 
 
@@ -227,11 +228,10 @@ def test_rays_field_errors(tmp_path, rays, message):
 
 
 def test_printed_x3_file_reports_pairs(tmp_path):
-    w2 = W**2
     printed = [
-        Ray((1, -W, W**2)),
+        Ray((1, -W, W2)),
         Ray((1, -1, 1)),
-        Ray((w2, W, 1)),
+        Ray((W2, W, 1)),
     ]
     doc = {
         "name": "x3-as-printed",

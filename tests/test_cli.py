@@ -153,6 +153,28 @@ def test_run_freezes_the_heap_before_exit():
     assert out.splitlines()[-1] == "froze: True"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "new33"],
+    ["sic", "--seed", "(1,z18,z10^3)"],
+    ["--expect-paper", "table1", "--minimal", "none"],
+], ids=" ".join)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-exit-flush", "in-main"])
+def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
+    """A reader that stops early is not bad input: stdout is a pipe whose
+    read end is closed before the process starts, so every write fails,
+    buffered at the flush in cli.run() or unbuffered at the first print."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ksverify.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": SRC,
+                                   "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_console_script_exits_through_run():
     # read as text: Python 3.10 has no tomllib
     text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
@@ -345,6 +367,17 @@ def test_table1_skips_missing_politely(tmp_path, monkeypatch, capsys):
         assert "new33" in out
     finally:
         cat._CACHE.clear()
+
+
+def test_table1_rejects_an_unknown_name(capsys):
+    """A typo in --sets fails the check with the error of `verify <name>`,
+    before any row is computed, instead of becoming a skipped row."""
+    assert main(["verify", "nosuch"]) == EXIT_MISSING_DATA
+    expected = capsys.readouterr()
+    code = main(["--expect-paper", "table1", "--sets", "new33,nosuch", "--minimal", "none"])
+    assert code == EXIT_MISSING_DATA
+    assert capsys.readouterr() == ("", expected.err)
+    assert expected.err.startswith("missing data: 'nosuch' is neither a builtin set")
 
 
 def test_missing_data_exit_code(tmp_path, monkeypatch, capsys):
@@ -570,8 +603,11 @@ def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
 
 
 def test_bad_basis_index_names_flag_and_entry(capsys):
+    # the split flags are read before the set loads, so no note line precedes the error
     assert main(["game", "new33", "--alice", "0,1", "--bob", "1,x"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: --bob entry 'x' is not a basis index\n"
+    assert capsys.readouterr() == ("", "error: --bob entry 'x' is not a basis index\n")
+    assert main(["game", "new33", "--alice", "0"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --alice and --bob must be given together\n")
 
 
 @pytest.mark.parametrize("text", [

@@ -45,6 +45,7 @@ from oracles import (
 )
 
 W = omega()
+W2 = W * W
 
 
 def ray(*components):
@@ -129,7 +130,7 @@ def test_winning_context_probability_adds_to_input_weight(game45):
 
 def test_win_tags_invariant_under_rescaling(game45):
     scaled_alice = [[scale_ray(r, -2 * W) for r in basis] for basis in game45.alice_bases]
-    scaled_bob = [[scale_ray(r, W**2) for r in basis] for basis in game45.bob_bases]
+    scaled_bob = [[scale_ray(r, W2) for r in basis] for basis in game45.bob_bases]
     rebuilt = build_game(scaled_alice, scaled_bob)
     for c1, c2 in zip(game45.contexts, rebuilt.contexts):
         assert c1.win_mask == c2.win_mask
@@ -144,8 +145,8 @@ def test_identical_single_basis_game():
 
 
 def test_two_disjoint_nonorthogonal_bases():
-    b1 = (ray(1, 1, 1), ray(1, W, W**2), ray(W**2, W, 1))
-    b2 = (ray(1, 1, -1), ray(1, W, -(W**2)), ray(W**2, W, -1))
+    b1 = (ray(1, 1, 1), ray(1, W, W2), ray(W2, W, 1))
+    b2 = (ray(1, 1, -1), ray(1, W, -W2), ray(W2, W, -1))
     g = build_game([b1], [b2])
     c = g.contexts[0]
     assert c.kind == "free"
@@ -154,9 +155,9 @@ def test_two_disjoint_nonorthogonal_bases():
 
 
 def test_build_game_rejects_a_non_orthogonal_basis():
-    build_game([(ray(1, W, W**2), ray(1, 1, 1), ray(W**2, W, 1))], [])
+    build_game([(ray(1, W, W2), ray(1, 1, 1), ray(W2, W, 1))], [])
     # the x=3 basis as commonly printed: its third ray fails against both others
-    printed = (ray(1, -W, W**2), ray(1, -1, 1), ray(W**2, W, 1))
+    printed = (ray(1, -W, W2), ray(1, -1, 1), ray(W2, W, 1))
     with pytest.raises(ValueError, match="^not an orthogonal basis: pair \\(0,2\\)"):
         build_game([printed], [])
     with pytest.raises(ValueError, match="^not an orthogonal basis"):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from ksverify.catalog import builtin
-from ksverify.cyclotomic import omega
+from ksverify.cyclotomic import Cyc, omega
 from ksverify.orthograph import (
     automorphisms,
     build_graph,
@@ -156,7 +156,7 @@ def test_new33_group_is_its_monomial_symmetries():
     """|Aut| = 144 from the rays alone: the 432 maps D P v and D P conj(v)
     with D = diag(1, +-w^j, +-w^k) induce exactly the graph's group."""
     inst = builtin("new33")
-    phases = [s * W**k for s in (1, -1) for k in range(3)]
+    phases = [s * u for s in (1, -1) for u in (Cyc.one(), W, W * W)]
     maps = monomial_symmetries(inst, phases)
     assert sorted(p for p, _ in maps) == list(inst.graph.group.elements)
     assert len(maps) == 144

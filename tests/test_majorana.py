@@ -11,6 +11,7 @@ from ksverify.rays import Ray
 from oracles import scale_ray
 
 W = omega()
+W2 = W * W
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
@@ -44,9 +45,9 @@ def test_points_lie_on_unit_sphere():
 
 
 def test_phase_invariance():
-    for r in (ray(1, W, W**2), ray(1, 1, -1), ray(0, 1, W), ray(1, -1, 0)):
+    for r in (ray(1, W, W2), ray(1, 1, -1), ray(0, 1, W), ray(1, -1, 0)):
         base = majorana_points(r)
-        for scalar in (W, W**2, -1, 2, -3 * W):
+        for scalar in (W, W2, -1, 2, -3 * W):
             scaled = majorana_points(scale_ray(r, scalar))
             assert pairs_equal(base, scaled, 1e-9)
 

@@ -38,7 +38,7 @@ def test_unknown_generator():
 
 
 def test_apply_examples():
-    assert apply(Z, ray(1, 1, 1)) == ray(1, W, W**2)
+    assert apply(Z, ray(1, 1, 1)) == ray(1, W, W * W)
     assert apply(X, ray(0, 0, 1)) == ray(1, 0, 0)
     assert apply(Z, ray(1, 1, 0)) == ray(1, W, 0)
 
