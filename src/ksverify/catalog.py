@@ -219,8 +219,18 @@ def load_set(path) -> KSInstance:
                 and all(type(i) is int and 0 <= i < len(rays) for i in triple)):
             raise InvalidSetError(f"{path}: declared basis {bi} {_clip(repr(triple))} is "
                                   f"not 3 ray indices in 0..{len(rays) - 1}")
-        chosen = [rays[i] for i in triple]
-        for v in validate_basis(chosen):
+    inst = KSInstance(name, rays, notes=tuple(notes))
+    # A declared basis is a triangle of the graph, whose edges are exact
+    # orthogonality tests; only a triple that is not one is checked again,
+    # for the inner products its error names.  A repeated index or ray is
+    # one vertex, never a triangle.
+    vertex = {ray: k for k, ray in enumerate(inst.graph.vertices)}
+    adj = inst.graph.adj
+    for bi, triple in enumerate(declared):
+        a, b, c = (vertex[rays[i]] for i in triple)
+        if adj[a] >> b & adj[a] >> c & adj[b] >> c & 1:
+            continue
+        for v in validate_basis([rays[i] for i in triple]):
             problems.append(
                 f"declared basis {bi} {tuple(triple)}: rays {triple[v.index_a]} "
                 f"and {triple[v.index_b]} have inner product {_clip(str(v.product))}"
@@ -229,7 +239,7 @@ def load_set(path) -> KSInstance:
         if len(problems) > 3:  # keep the line short: name the first few
             problems[3:] = [f"and {len(problems) - 3} more"]
         raise InvalidSetError(f"{path}: " + "; ".join(problems))
-    return KSInstance(name, rays, notes=tuple(notes))
+    return inst
 
 
 def serialize(inst: KSInstance, provenance: str = "") -> dict:

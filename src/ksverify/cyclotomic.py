@@ -132,19 +132,24 @@ class Cyc:
 
     __slots__ = ("n", "num", "den", "_minimal")
 
-    def __init__(self, n: int, coeffs, den: int = 1) -> None:
+    def __init__(self, n: int, coeffs, den: int = 1, *, _reduced: bool = False) -> None:
         """The value sum(coeffs[j] * zeta_n^j) / den.
 
         Coefficients are ints or Fractions and may run past phi(n); `den` is
-        a nonzero int.
+        a nonzero int.  `_reduced` is for this module's own results: a fresh
+        list of phi(n) ints over a positive int `den`, so only the gcd is
+        taken out.
         """
-        phi = _phi(n)
-        num = coeffs if type(coeffs) is list else list(coeffs)  # read, never written
-        # A Fraction or float term makes the sum a Fraction or float.
-        if type(den) is not int or den < 1 or type(sum(num)) is not int:
-            num, den = _integral(num, den)
-        if len(num) != phi:
-            num = _reduce(n, num)
+        if _reduced:
+            num = coeffs
+        else:
+            phi = _phi(n)
+            num = coeffs if type(coeffs) is list else list(coeffs)  # read, never written
+            # A Fraction or float term makes the sum a Fraction or float.
+            if type(den) is not int or den < 1 or type(sum(num)) is not int:
+                num, den = _integral(num, den)
+            if len(num) != phi:
+                num = _reduce(n, num)
         if den != 1 and (g := gcd(den, *num)) != 1:
             num = [c // g for c in num]
             den //= g
@@ -172,11 +177,11 @@ class Cyc:
 
     @staticmethod
     def zero() -> "Cyc":
-        return Cyc(1, [0])
+        return Cyc(1, [0], _reduced=True)
 
     @staticmethod
     def one() -> "Cyc":
-        return Cyc(1, [1])
+        return Cyc(1, [1], _reduced=True)
 
     # -- coercion ------------------------------------------------------------
 
@@ -190,7 +195,8 @@ class Cyc:
 
     def _common(self, other) -> tuple[int, "Cyc", "Cyc"]:
         """The lcm conductor m, and self and `other` (a Cyc, int or Fraction) at m."""
-        other = Cyc._as_cyc(other)
+        if type(other) is not Cyc:
+            other = Cyc._as_cyc(other)
         if self.n == other.n:
             return self.n, self, other
         m = lcm(self.n, other.n)
@@ -206,17 +212,17 @@ class Cyc:
             if c:
                 for i, t in table[k * j % m]:
                     out[i] += c * t
-        return Cyc(m, out, self.den)
+        return Cyc(m, out, self.den, _reduced=True)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other, sign: int = 1) -> "Cyc":
         n, a, b = self._common(other)
         if a.den == b.den:
-            return Cyc(n, [x + sign * y for x, y in zip(a.num, b.num)], a.den)
+            return Cyc(n, [x + sign * y for x, y in zip(a.num, b.num)], a.den, _reduced=True)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
-        return Cyc(n, [fa * x + fb * y for x, y in zip(a.num, b.num)], den)
+        return Cyc(n, [fa * x + fb * y for x, y in zip(a.num, b.num)], den, _reduced=True)
 
     __radd__ = __add__
 
@@ -224,36 +230,50 @@ class Cyc:
         return self.__add__(other, -1)
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, [-c for c in self.num], self.den)
+        return Cyc(self.n, [-c for c in self.num], self.den, _reduced=True)
 
     def __mul__(self, other) -> "Cyc":
         n, a, b = self._common(other)
+        table = _power_table(n)
         bs = [(j, y) for j, y in enumerate(b.num) if y]
-        prod = [0] * (2 * len(a.num) - 1)
+        out = [0] * len(a.num)
         for i, x in enumerate(a.num):
             if x:
                 for j, y in bs:
-                    prod[i + j] += x * y
-        return Cyc(n, _reduce(n, prod), a.den * b.den)
+                    xy = x * y
+                    for k, t in table[(i + j) % n]:  # zeta^(i+j) on the phi(n) powers
+                        out[k] += xy * t
+        return Cyc(n, out, a.den * b.den, _reduced=True)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via fraction-free extended Euclid against Phi_n.
+        """Multiplicative inverse; fraction-free extended Euclid against Phi_n.
 
-        Keeps s_i * num == r_i (mod Phi_n) with integer polynomials, trailing
-        zeros trimmed, each pair (r_i, s_i) divided by its content.  When
-        r_1 is a constant c, 1 / (num / den) = den * s_1 / c.
+        A monomial (c / den) * zeta^i is inverted as (den / c) * zeta^(-i),
+        one power-table row.  Otherwise Euclid keeps s_i * num == r_i
+        (mod Phi_n) with integer polynomials, trailing zeros trimmed, each
+        pair (r_i, s_i) divided by its content.  When r_1 is a constant c,
+        1 / (num / den) = den * s_1 / c, and s_1 has degree below phi(n).
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        n, phi = self.n, len(self.num)
+        terms = [(i, c) for i, c in enumerate(self.num) if c]
+        if len(terms) == 1:
+            (i, c), = terms
+            scale = self.den if c > 0 else -self.den
+            out = [0] * phi
+            for k, t in _power_table(n)[-i % n]:
+                out[k] = scale * t
+            return Cyc(n, out, abs(c), _reduced=True)
 
         def trim(p):
             while len(p) > 1 and not p[-1]:
                 p.pop()
             return p
 
-        r0, r1 = list(cyclotomic_polynomial(self.n)), trim(list(self.num))
+        r0, r1 = list(cyclotomic_polynomial(n)), trim(list(self.num))
         s0, s1 = [0], [1]
         while len(r1) > 1:
             while len(r0) >= len(r1):
@@ -271,7 +291,9 @@ class Cyc:
                 s0 = [x // g for x in s0]
             r0, r1, s0, s1 = r1, r0, s1, s0
         scale = self.den if r1[0] > 0 else -self.den
-        return Cyc(self.n, [scale * x for x in s1], abs(r1[0]))
+        out = [scale * x for x in trim(s1)]
+        out += [0] * (phi - len(out))
+        return Cyc(n, out, abs(r1[0]), _reduced=True)
 
     def __truediv__(self, other) -> "Cyc":
         return self * Cyc._as_cyc(other).inverse()

@@ -174,22 +174,22 @@ def classical_value(g: Game) -> GameValue:
 
 
 def classical_value_twolevel(g: Game) -> Fraction:
-    """Max over Alice strategies; Bob's best reply decomposes per input y."""
-    nx, ny = len(g.alice_bases), len(g.bob_bases)
-    masks = [c.win_mask for c in g.contexts]  # read once: the loop below is hot
-    best = 0
-    for alice in itertools.product(range(3), repeat=nx):
-        total = 0
-        for y in range(ny):
-            best_y = 0
-            for b in range(3):
-                won = 0
-                for x in range(nx):
-                    if masks[x * ny + y] >> (3 * alice[x] + b) & 1:
-                        won += 1
-                best_y = max(best_y, won)
-            total += best_y
-        best = max(best, total)
+    """Max over Alice strategies; Bob's best reply decomposes per input y.
+
+    A strategy of Alice is one mask, bit 3x+a set for her answer a to x.
+    Answer b to y wins the contexts (x, y) whose Alice bit lies in its mask
+    `replies[y][b]`, so it wins popcount(strategy & mask) of them.
+    """
+    replies = [[0, 0, 0] for _ in g.bob_bases]
+    for c in g.contexts:
+        for k in bits(c.win_mask):
+            a, b = divmod(k, 3)
+            replies[c.y][b] |= 1 << (3 * c.x + a)
+    strategies = [0]
+    for x in range(len(g.alice_bases)):
+        strategies = [s | 1 << (3 * x + a) for s in strategies for a in range(3)]
+    best = max(sum(max((s & w).bit_count() for w in row) for row in replies)
+               for s in strategies)
     return Fraction(best, g.n_contexts())
 
 

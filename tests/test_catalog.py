@@ -3,6 +3,7 @@
 import contextlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +247,54 @@ def test_printed_x3_file_reports_pairs(tmp_path):
     message = str(err.value)
     assert "-2" in message and "-2*w" in message
     assert message.count("inner product") == 2
+    assert message == (
+        f"{path}: declared basis 0 (0, 1, 2): rays 0 and 2 have inner product -2; "
+        f"declared basis 0 (0, 1, 2): rays 1 and 2 have inner product -2*w")
+
+
+def set_file(tmp_path, rays, declared):
+    doc = {"name": "t", "conductor": 3,
+           "rays": [[c.to_triples_at(3) for c in r.components] for r in rays],
+           "declared_bases": declared}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+E1, E2, E3 = Ray((1, 0, 0)), Ray((0, 1, 0)), Ray((0, 0, 1))
+
+
+def test_declared_basis_repeating_an_index_is_named(tmp_path):
+    path = set_file(tmp_path, [E1, E2, E3], [[0, 1, 0], [0, 1, 2]])
+    with pytest.raises(InvalidSetError) as err:
+        load_set(path)
+    assert str(err.value) == (
+        f"{path}: declared basis 0 (0, 1, 0): rays 0 and 0 have inner product 1")
+
+
+def test_duplicate_ray_and_bad_basis_make_one_error(tmp_path):
+    path = set_file(tmp_path, [E1, E2, E3, Ray((0, W, 0)), Ray((1, 1, 0))],
+                    [[0, 1, 2], [0, 3, 4], [2, 2, 4]])
+    with pytest.raises(InvalidSetError) as err:
+        load_set(path)
+    assert str(err.value) == (
+        f"{path}: rays 1 and 3 are the same projective ray (0,1,0); "
+        f"declared basis 1 (0, 3, 4): rays 0 and 4 have inner product 1; "
+        f"declared basis 1 (0, 3, 4): rays 3 and 4 have inner product w^2; and 1 more")
+
+
+def test_declared_bases_are_read_off_the_graph(monkeypatch):
+    # peres33 declares 16 bases: the graph's C(33, 2) exact tests cover them,
+    # where checking each again took 3 more inner products apiece (576 in all)
+    import ksverify.catalog as cat
+    import ksverify.rays as rays
+
+    calls = []
+    inner = rays.inner
+    monkeypatch.setattr(rays, "inner", lambda v, u: calls.append(1) or inner(v, u))
+    inst = load_set(Path(cat.__file__).parent / "data" / "peres33.json")
+    assert (inst.graph.n, len(inst.basis_indices)) == (33, 16)
+    assert len(calls) == 33 * 32 // 2 == 528
 
 
 def test_summary_table_renders_deterministically():

@@ -312,6 +312,67 @@ def test_representation_is_unique_and_in_lowest_terms(a, b):
     assert (ab.num, ab.den) == (ba.num, ba.den)
 
 
+# Ring results skip the checks of caller input (`_reduced`); caller input,
+# tuples and Fractions included, must never take that branch.
+
+
+def test_caller_input_is_validated():
+    for x in (W2 / 3, sqrt2() * Fraction(-3, 7), Cyc(24, [1, Fraction(2, 5), 0, -3])):
+        y = Cyc(*x.minimal_form())  # a tuple of Fractions
+        assert y == x and all(type(c) is int for c in y.num)
+        assert len(y.num) == _phi(y.n) and gcd(y.den, *y.num) == 1
+    long, short, scaled = Cyc(3, (1, 2, 3)), Cyc(5, (1, 2)), Cyc(3, (2, 4), 6)
+    assert (long.num, long.den) == ((-2, -1), 1)  # 1 + 2w + 3w^2 = -2 - w
+    assert (short.num, short.den) == ((1, 2, 0, 0), 1)
+    assert (scaled.num, scaled.den) == ((1, 2), 3)
+    with pytest.raises(TypeError):
+        Cyc(3, (1.0, 2))
+
+
+@given(cyc_numbers(), cyc_numbers())
+def test_ring_results_are_what_validated_input_gives(a, b):
+    m = lcm(a.n, b.n)
+    results = [a + b, a - b, -a, a * b, a.conj(), a + Cyc(2 * m, []), Cyc.zero(), Cyc.one()]
+    if not a.is_zero():
+        results += [a.inverse(), b / a]
+    for r in results:
+        again = Cyc(r.n, list(r.num), r.den)
+        assert (r.num, r.den) == (again.num, again.den)
+        assert all(type(c) is int for c in r.num)
+
+
+def test_monomial_inverse_at_every_conductor():
+    # The Fraction oracle solves a phi(n) x phi(n) system, so it runs where
+    # phi(n) <= 16; x * x^-1 == 1, which fixes x^-1, is checked everywhere.
+    rng = random.Random(25)
+    for n in range(1, MAX_CONDUCTOR + 1):
+        den = rng.randint(2, 9)
+        r = Fraction(-rng.choice([k for k in range(1, 12) if gcd(k, den) == 1]), den)
+        j = rng.randrange(n)
+        x = Cyc(n, [0] * j + [r])  # r * zeta_n^j
+        inv = x.inverse()
+        assert inv.n == n and x * inv == 1
+        if _phi(n) <= 16:
+            assert reference(inv) == oracles.fraction_inverse(n, reference(x))
+
+
+def test_only_a_non_monomial_inverse_runs_euclid(monkeypatch):
+    import ksverify.cyclotomic as cyclotomic
+
+    calls = []
+    polynomial = cyclotomic.cyclotomic_polynomial
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial",
+                        lambda n: calls.append(n) or polynomial(n))
+    for n in (3, 8, 24):
+        _power_table(n)  # built, so only Euclid reads Phi_n from here on
+        for value in (Cyc(n, [Fraction(-5, 3)]), Cyc(n, [0, 7], 2)):
+            calls.clear()
+            assert value * value.inverse() == 1 and calls == []
+        calls.clear()
+        value = Cyc(n, [1, 0, 2])
+        assert value * value.inverse() == 1 and calls == [n]
+
+
 def test_evaluate_at_primitive_root():
     assert abs(W.evaluate() - cmath.exp(2j * cmath.pi / 3)) < 1e-12
 
