@@ -31,7 +31,7 @@ from .game import (
 from .majorana import export_majorana
 from .orthograph import bits
 from .rays import parse_ray
-from .weylheisenberg import generator, is_sic_povm, orbit_closure
+from .weylheisenberg import is_sic_povm, orbit_closure
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,9 +92,11 @@ def _indices(flag: str, text: str) -> list[int]:
 
 def _split_from_args(args) -> tuple[list[int], list[int]] | None:
     """The --alice and --bob basis indices, or None if neither is given."""
-    if bool(args.alice) != bool(args.bob):
+    if (args.alice is None) != (args.bob is None):
         raise ValueError("--alice and --bob must be given together")
-    return (_indices("--alice", args.alice), _indices("--bob", args.bob)) if args.alice else None
+    if args.alice is None:
+        return None
+    return _indices("--alice", args.alice), _indices("--bob", args.bob)
 
 
 def _game_from_split(inst: KSInstance, split) -> Game:
@@ -122,7 +124,7 @@ def cmd_verify(args) -> dict:
         # vertices are in Ray.sort_key order, so bit order is ray order
         ones = ", ".join(str(inst.graph.vertices[i]) for i in bits(result.ones))
         print(f"witness assignment, rays with value 1: {ones}")
-    if args.export_cnf:
+    if args.export_cnf is not None:
         from .colorability import to_dimacs_cnf
 
         with open(args.export_cnf, "w", encoding="utf-8") as fh:
@@ -155,13 +157,13 @@ def cmd_symmetry(args) -> dict:
 
 
 def cmd_game(args) -> dict | int:
-    if args.export_legend and not args.export_graph:
+    if args.export_legend is not None and args.export_graph is None:
         raise ValueError("--export-legend needs --export-graph")
     split = _split_from_args(args)  # before the set loads and prints its notes
     inst = _load(args.set)
     game = _game_from_split(inst, split)
     print(f"game on {inst.name}: |X| = {len(game.alice_bases)}, "
-          f"|Y| = {len(game.bob_bases)}, contexts = {game.n_contexts()}")
+          f"|Y| = {len(game.bob_bases)}, contexts = {len(game.contexts)}")
     for kind in sorted({c.kind for c in game.contexts}):
         of_kind = [c for c in game.contexts if c.kind == kind]
         wins = sorted({c.wins() for c in of_kind})
@@ -177,16 +179,16 @@ def cmd_game(args) -> dict | int:
     print("convention: Bob measures the componentwise-conjugated basis, so "
           "event probabilities are |<a|b>|^2/(3|a|^2|b|^2) and vanish "
           "exactly on orthogonal pairs")
-    if args.export_graph:
+    if args.export_graph is not None:
         export_exclusivity_graph(game, args.export_graph, args.export_legend)
         print(f"exclusivity graph written to {args.export_graph}"
-              + (f" with legend {args.export_legend}" if args.export_legend else ""))
+              + (f" with legend {args.export_legend}" if args.export_legend is not None else ""))
     if value.classical != cross:
         print("INTERNAL MISMATCH: exclusivity-graph and strategy enumeration disagree")
         return EXIT_MISMATCH
     # an explicit split is keyed apart, so the default-split references skip it
-    key = f"{inst.name}[{args.alice}|{args.bob}]" if args.alice else inst.name
-    return {key: {"contexts": game.n_contexts(), "events": total,
+    key = f"{inst.name}[{args.alice}|{args.bob}]" if split is not None else inst.name
+    return {key: {"contexts": len(game.contexts), "events": total,
                   "classical": value.classical, "quantum": quantum}}
 
 
@@ -219,8 +221,7 @@ def cmd_generate(args) -> dict:
         seed = [parse_ray(args.seed)]
         seed_name = str(seed[0])
     labels = [t for t in args.gens.replace(",", "") if t.strip()]
-    gens = [generator(lbl) for lbl in labels]
-    closure = orbit_closure(seed, gens)
+    closure = orbit_closure(seed, labels)
     print(f"orbit closure of {seed_name} under {{{', '.join(labels)}}}: "
           f"{len(closure)} rays")
     same_as_seed = set(closure) == set(seed)
@@ -264,7 +265,7 @@ def cmd_majorana(args) -> dict:
 def cmd_table1(args) -> dict:
     check_budget(args.budget)  # before any set loads, whether or not a search runs
     # a name that resolves to nothing fails the table; a shipped set without its file is skipped
-    names = [check_name(name) for name in args.sets.split(",")] if args.sets else [
+    names = [check_name(name) for name in args.sets.split(",")] if args.sets is not None else [
         "schuette33", "conway31", "peres33", "penrose33", "new33"]
     facts, shown, skipped = {}, [], []
     for name in names:

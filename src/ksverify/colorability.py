@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .orthograph import bits, build_graph, complete_bases
+from .orthograph import bits, build_graph, complete_bases, edge_list
 
 
 class KSInstance:
@@ -56,7 +56,7 @@ def verify_assignment(inst: KSInstance, ones: int) -> list[ColoringViolation]:
     0 to the rest satisfies both constraint families."""
     g = inst.graph
     out = []
-    for i, j in g.edges():
+    for i, j in edge_list(g.adj):
         if ones >> i & ones >> j & 1:
             out.append(ColoringViolation(
                 "edge", f"orthogonal rays {g.vertices[i]} and {g.vertices[j]} both assigned 1"))
@@ -123,15 +123,11 @@ def _search_tree(adj, bases, ones: int = 0, zeros: int = 0):
             yield from _search_tree(adj, bases, *child)
 
 
-def _search_data(inst: KSInstance):
-    """The orthogonality rows and the basis bitmasks of `inst`."""
-    return inst.graph.adj, [sum(1 << t for t in triple) for triple in inst.basis_indices]
-
-
 def find_ks_assignment(inst: KSInstance) -> SearchResult:
     """First valid assignment in branching order, or exhaustive UNSAT."""
+    bases = [sum(1 << t for t in triple) for triple in inst.basis_indices]
     # item k of the tree is the k-th node tried after the root
-    for nodes, leaf in enumerate(_search_tree(*_search_data(inst))):
+    for nodes, leaf in enumerate(_search_tree(inst.graph.adj, bases)):
         if leaf is not None:
             # all bases carry a 1; free rays get 0 (edges stay satisfied)
             problems = verify_assignment(inst, leaf[0])
@@ -152,7 +148,7 @@ def to_dimacs_cnf(inst: KSInstance) -> str:
     lines = [f"c instance {inst.name}"]
     for i, ray in enumerate(g.vertices):
         lines.append(f"c var {i + 1} = {ray}")
-    edges = g.edges()
+    edges = edge_list(g.adj)
     lines.append(f"p cnf {g.n} {len(edges) + len(inst.basis_indices)}")
     for i, j in edges:
         lines.append(f"-{i + 1} -{j + 1} 0")

@@ -79,6 +79,20 @@ def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(table)
 
 
+def _unit(n: int, coeffs) -> tuple[Fraction, int] | None:
+    """(r, k) if the value with power-basis coefficients `coeffs` (ints or
+    Fractions) is r * zeta_n^k, that is, r times power-table row k; the first
+    such k, since at even n -zeta^k is also zeta^(k+n/2).  Else None."""
+    support = len(coeffs) - coeffs.count(0)
+    for k, row in enumerate(_power_table(n)):
+        if len(row) == support:
+            i, t = row[0]
+            c = coeffs[i]
+            if c and all(coeffs[j] * t == c * s for j, s in row):
+                return Fraction(c, t), k
+    return None
+
+
 def _reduce(n: int, coeffs: list[int]) -> list[int]:
     """Reduce integer coefficients on powers of zeta_n modulo Phi_n."""
     phi = _phi(n)
@@ -248,25 +262,25 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse; fraction-free extended Euclid against Phi_n.
+        """Multiplicative inverse; a unit from one power-table row, else Euclid.
 
-        A monomial (c / den) * zeta^i is inverted as (den / c) * zeta^(-i),
-        one power-table row.  Otherwise Euclid keeps s_i * num == r_i
-        (mod Phi_n) with integer polynomials, trailing zeros trimmed, each
-        pair (r_i, s_i) divided by its content.  When r_1 is a constant c,
-        1 / (num / den) = den * s_1 / c, and s_1 has degree below phi(n).
+        A unit (r / den) * zeta^k (see `_unit`) is inverted as (den / r) *
+        zeta^(-k).  Otherwise fraction-free extended Euclid against Phi_n
+        keeps s_i * num == r_i (mod Phi_n) with integer polynomials, trailing
+        zeros trimmed, each pair (r_i, s_i) divided by its content.  When r_1
+        is a constant c, 1 / (num / den) = den * s_1 / c, of degree < phi(n).
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         n, phi = self.n, len(self.num)
-        terms = [(i, c) for i, c in enumerate(self.num) if c]
-        if len(terms) == 1:
-            (i, c), = terms
-            scale = self.den if c > 0 else -self.den
+        if (unit := _unit(n, self.num)) is not None:
+            r, k = unit
+            p, q = r.as_integer_ratio()
+            scale = self.den * q if p > 0 else -self.den * q
             out = [0] * phi
-            for k, t in _power_table(n)[-i % n]:
-                out[k] = scale * t
-            return Cyc(n, out, abs(c), _reduced=True)
+            for i, t in _power_table(n)[-k % n]:
+                out[i] = scale * t
+            return Cyc(n, out, abs(p), _reduced=True)
 
         def trim(p):
             while len(p) > 1 and not p[-1]:
@@ -420,12 +434,8 @@ class Cyc:
     # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        """The value as r*zeta_d^k if it is one, else as its power-basis terms.
-
-        d is the minimal conductor.  The conductor-d form is unique, so the
-        value is r*zeta_d^k iff its coefficients are r times power-table row
-        k; the first such k is shown (at even d, -zeta^k is also zeta^(k+d/2)).
-        """
+        """The value as r*zeta_d^k if it is one (see `_unit`), else as its
+        power-basis terms; d is the minimal conductor."""
         d, coeffs = self.minimal_form()
         if d == 1:
             return str(coeffs[0])
@@ -437,11 +447,8 @@ class Cyc:
             power = sym if k == 1 else f"{sym}^{k}"
             return power if r == 1 else f"-{power}" if r == -1 else f"{r}*{power}"
 
-        support = sum(1 for c in coeffs if c)
-        for k, row in enumerate(_power_table(d)):
-            r = coeffs[row[0][0]] / row[0][1]
-            if r and len(row) == support and all(coeffs[i] == r * t for i, t in row):
-                return term(r, k)
+        if (unit := _unit(d, coeffs)) is not None:
+            return term(*unit)
         out = ""
         for j, c in enumerate(coeffs):
             if c:

@@ -49,9 +49,6 @@ class Context(namedtuple("Context", "x y shared win_mask")):
 class Game(namedtuple("Game", "alice_bases bob_bases contexts")):
     __slots__ = ()
 
-    def n_contexts(self) -> int:
-        return len(self.contexts)
-
     def total_winning_events(self) -> int:
         return sum(c.wins() for c in self.contexts)
 
@@ -170,7 +167,7 @@ def classical_value(g: Game) -> GameValue:
     if achieved != alpha:
         raise AssertionError(
             f"witness strategy wins {achieved} contexts, expected {alpha}")
-    return GameValue(Fraction(alpha, g.n_contexts()), strategy)
+    return GameValue(Fraction(alpha, len(g.contexts)), strategy)
 
 
 def classical_value_twolevel(g: Game) -> Fraction:
@@ -190,7 +187,7 @@ def classical_value_twolevel(g: Game) -> Fraction:
         strategies = [s | 1 << (3 * x + a) for s in strategies for a in range(3)]
     best = max(sum(max((s & w).bit_count() for w in row) for row in replies)
                for s in strategies)
-    return Fraction(best, g.n_contexts())
+    return Fraction(best, len(g.contexts))
 
 
 # -- quantum value ---------------------------------------------------------------
@@ -240,7 +237,7 @@ def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None)
     events = winning_events(g)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dimacs_edges(exclusivity_adjacency(events)))
-    if legend_path:
+    if legend_path is not None:
         legend = ["index x y a b"]
         legend += [
             f"{i + 1} {x} {y} {a} {b}" for i, (x, y, a, b) in enumerate(events)

@@ -44,10 +44,9 @@ def majorana_points(
     import cmath
 
     c0, c1, c2 = r.canonical
-    scale = max(abs(c.evaluate()) for c in r.canonical)
-    a = c0.evaluate() / scale
-    b = -math.sqrt(2.0) * c1.evaluate() / scale
-    c = c2.evaluate() / scale
+    v0, v1, v2 = c0.evaluate(), c1.evaluate(), c2.evaluate()
+    scale = max(abs(v0), abs(v1), abs(v2))
+    a, b, c = v0 / scale, -math.sqrt(2.0) * v1 / scale, v2 / scale
     if c0.is_zero():
         if c1.is_zero():
             points = [_SOUTH, _SOUTH]  # constant polynomial: both roots at infinity

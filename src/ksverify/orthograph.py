@@ -48,9 +48,6 @@ class OrthoGraph:
             object.__setattr__(self, "_group", automorphisms(self))
         return self._group
 
-    def edges(self) -> list[tuple[int, int]]:
-        return edge_list(self.adj)
-
 
 def bits(mask: int):
     """Indices of the set bits of `mask`, lowest first."""

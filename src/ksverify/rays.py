@@ -2,10 +2,12 @@
 
 A Ray keeps the component triple it was built from (so certificates can
 quote the source coordinates) together with a canonical representative
-used for equality, hashing and ordering.  Canonicalization divides by the
-first nonzero component, rescales to a primitive integral coefficient
-vector, then picks the nicest unit multiple, so any two scalar multiples
-of the same vector collapse to one Ray.
+used for equality, hashing and ordering: the source divided by its first
+nonzero component, times the least positive rational that makes every
+minimal-form coefficient an integer.  So its lead is a positive integer,
+its coefficients are integers with gcd 1, and any two scalar multiples of
+one vector collapse to one Ray.  The unit search after that keeps this
+triple, since only the unit 1 leaves the lead rational.
 """
 
 from __future__ import annotations

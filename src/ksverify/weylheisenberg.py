@@ -15,13 +15,6 @@ from .cyclotomic import omega
 from .rays import Ray, inner
 
 
-def generator(label: str) -> str:
-    """The label of a known generator, "X" or "Z"."""
-    if label not in ("X", "Z"):
-        raise ValueError(f"unknown generator {label!r}; expected 'X' or 'Z'")
-    return label
-
-
 def apply(label: str, r: Ray) -> Ray:
     """The ray of generator `label` applied to the canonical components of `r`:
     X maps (a,b,c) to (c,a,b), Z maps it to (a,w*b,w^2*c)."""
@@ -34,7 +27,10 @@ def apply(label: str, r: Ray) -> Ray:
 
 def orbit_closure(seed, gens) -> tuple[Ray, ...]:
     """Least set of rays containing `seed` and closed under the generators
-    labelled in `gens`."""
+    labelled in `gens`, each "X" or "Z"; ValueError for any other label."""
+    for label in gens:
+        if label not in ("X", "Z"):
+            raise ValueError(f"unknown generator {label!r}; expected 'X' or 'Z'")
     closed = set(seed)
     frontier = list(closed)
     while frontier:

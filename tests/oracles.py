@@ -10,9 +10,10 @@ unanswerable Bob bases, a sort-every-image rule for orbit minima, a
 permutation scan, the full automorphism backtrack (every leaf, no
 stabilizer chain), a product closure and a union-find for automorphism
 groups, monomial maps applied to the rays themselves for a group found
-from the graph, and per-coefficient Fraction arithmetic with per-call
-Gaussian elimination for cyclotomic numbers, over its own Phi_n (long
-division of x^n - 1) and phi(n) (a count of the units mod n).
+from the graph, two non-monomial matrices applied to the shipped rays for
+verdicts that must not change, and per-coefficient Fraction arithmetic
+with per-call Gaussian elimination for cyclotomic numbers, over its own
+Phi_n (long division of x^n - 1) and phi(n) (a count of the units mod n).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 
 def alpha_exhaustive(adj: list[int]) -> int:
@@ -75,7 +76,7 @@ def ks_assignments_powerset(inst) -> list[int]:
     """All valid assignments of an instance as bitmasks (<= ~15 rays)."""
     g = inst.graph
     n = g.n
-    edges = g.edges()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if g.adj[i] >> j & 1]
     out = []
     for bits in range(1 << n):
         ok = all(not (bits >> i & 1 and bits >> j & 1) for i, j in edges)
@@ -460,9 +461,10 @@ def fraction_reduce(n: int, coeffs) -> tuple[Fraction, ...]:
     table = fraction_power_table(n)
     out = [Fraction(c) for c in coeffs[:phi]] + [Fraction(0)] * max(0, phi - len(coeffs))
     for j in range(phi, len(coeffs)):
-        row = table[j % n]
-        for i in range(phi):
-            out[i] += coeffs[j] * row[i]
+        if coeffs[j]:
+            row = table[j % n]
+            for i in range(phi):
+                out[i] += coeffs[j] * row[i]
     return tuple(out)
 
 
@@ -484,8 +486,9 @@ def fraction_conj(n: int, coeffs) -> tuple[Fraction, ...]:
 def fraction_product(n: int, a, b) -> tuple[Fraction, ...]:
     prod = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
     return fraction_reduce(n, prod)
 
 
@@ -554,3 +557,68 @@ def fraction_unit_form(n: int, coeffs) -> tuple[int, int, Fraction] | None:
         if e == 1:
             return d, k, p[0]
     return None
+
+
+def fraction_coordinates(value) -> tuple[Fraction, ...]:
+    """A Cyc's stored power-basis coordinates at its own conductor, as Fractions."""
+    return tuple(Fraction(x, value.den) for x in value.num)
+
+
+@cache
+def _cached_minimal_form(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
+    return fraction_minimal_form(n, coeffs)
+
+
+def canonical_rule_holds(ray) -> bool:
+    """Whether `ray.canonical` is what dividing the source components by the
+    first nonzero one and clearing the integer content gives: a
+    positive-integer lead, integer minimal-form coefficients with gcd 1, and
+    every 2x2 minor against `ray.components` zero (so the two triples are
+    proportional).  Fraction arithmetic at the lcm conductor throughout."""
+    canon, source = ray.canonical, ray.components
+    m = lcm(*(c.n for c in canon + source))
+    a = [fraction_embed(c.n, m, fraction_coordinates(c)) for c in canon]
+    b = [fraction_embed(c.n, m, fraction_coordinates(c)) for c in source]
+    lead = next((x for x in a if any(x)), None)
+    if lead is None or any(lead[1:]) or lead[0].denominator != 1 or lead[0] <= 0:
+        return False
+    coeffs = [x for c in canon for x in _cached_minimal_form(c.n, fraction_coordinates(c))[1]]
+    if any(x.denominator != 1 for x in coeffs) or gcd(*(x.numerator for x in coeffs)) != 1:
+        return False
+    return all(fraction_product(m, a[i], b[j]) == fraction_product(m, a[j], b[i])
+               for i, j in combinations(range(3), 2))
+
+
+# -- non-monomial images of the shipped sets -------------------------------------
+#
+# Every ray of new33, and of its monomial set-file copies, has canonical lead
+# 1.  Two matrices that preserve orthogonality but not that lead: the Fourier
+# matrix [w^(jk)], unitary up to sqrt(3) and a Clifford element (Appleby,
+# J. Math. Phys. 46, 052107 (2005)), and [[1,2,2],[2,1,-2],[2,-2,1]],
+# orthogonal up to 3.  Each image is followed by seeded monomial phases.
+
+IMAGE_SOURCES = ("new33", "peres33", "conway31")
+IMAGE_MATRICES = ("fourier", "rational")
+IMAGE_CONDUCTORS = (3, 8, 24)
+
+
+@cache
+def non_monomial_image(name: str, matrix: str, n: int) -> tuple:
+    """The rays M v of shipped set `name`, coordinate i then times +-zeta_n^p_i,
+    the signs and powers drawn from a generator seeded by the arguments."""
+    import random
+
+    from ksverify.catalog import builtin
+    from ksverify.cyclotomic import Cyc
+    from ksverify.rays import Ray
+
+    rows = {
+        "fourier": [[Cyc.root_of_unity(3, j * k) for k in range(3)] for j in range(3)],
+        "rational": [[1, 2, 2], [2, 1, -2], [2, -2, 1]],
+    }[matrix]
+    rng = random.Random(f"{name} {matrix} {n}")
+    phases = [rng.choice((1, -1)) * Cyc.root_of_unity(n, rng.randrange(n)) for _ in range(3)]
+    return tuple(
+        Ray(tuple(p * sum(x * v for x, v in zip(row, r.canonical))
+                  for p, row in zip(phases, rows)))
+        for r in builtin(name).graph.vertices)

@@ -32,7 +32,7 @@ from ksverify.game import (
 from ksverify.majorana import majorana_points
 from ksverify.orthograph import automorphisms, max_independent_set
 from ksverify.rays import Ray
-from ksverify.weylheisenberg import generator, is_sic_povm, orbit_closure
+from ksverify.weylheisenberg import is_sic_povm, orbit_closure
 
 from oracles import (
     alpha_exhaustive,
@@ -107,7 +107,7 @@ def test_criterion_03_symmetry(new33):
 
 
 def test_criterion_04_game_structure(game45):
-    assert game45.n_contexts() == 45
+    assert len(game45.contexts) == 45
     shared = [c for c in game45.contexts if c.kind == "shared-vector"]
     orth = [c for c in game45.contexts if c.kind == "orthogonal-pair"]
     assert len(shared) == 9 and all(c.wins() == 5 for c in shared)
@@ -188,16 +188,15 @@ def test_criterion_07_legacy_split(name, split):
 
 def test_criterion_08_generation(new33):
     yuoh = builtin("yuoh13")
-    X, Z = generator("X"), generator("Z")
-    under_x = orbit_closure(yuoh.graph.vertices, [X])
+    under_x = orbit_closure(yuoh.graph.vertices, ["X"])
     assert set(under_x) == frozenset(yuoh.graph.vertices)
-    under_z = orbit_closure(yuoh.graph.vertices, [Z])
+    under_z = orbit_closure(yuoh.graph.vertices, ["Z"])
     assert set(under_z) == frozenset(new33.graph.vertices)
     ok("criterion 8: X-closure of yuoh13 = yuoh13; Z-closure = new33, exactly")
 
 
 def test_criterion_09_sic_povms(new33):
-    gens = [generator("X"), generator("Z")]
+    gens = ["X", "Z"]
     plus = is_sic_povm(orbit_closure([Ray((1, 1, 0))], gens))
     minus = is_sic_povm(orbit_closure([Ray((1, -1, 0))], gens))
     assert plus.is_sic and len(plus.rays) == 9
@@ -325,7 +324,7 @@ def test_criterion_13c_classical_value_oracle(new33, game45):
         bases = basis_rays(new33)
         g = build_game([bases[i] for i in ax], [bases[j] for j in bx])
         via_alpha = classical_value(g).classical
-        direct = Fraction(best_strategy_pairs(g), g.n_contexts())
+        direct = Fraction(best_strategy_pairs(g), len(g.contexts))
         assert via_alpha == direct
     assert classical_value(game45).classical == classical_value_twolevel(game45)
     ok("criterion 13c: alpha-based classical value matches 3^|X|*3^|Y| "

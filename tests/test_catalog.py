@@ -1,8 +1,10 @@
 """Catalog: builtin sets, file round-trips, validation reports."""
 
 import contextlib
+import itertools
 import json
 import re
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -20,11 +22,19 @@ from ksverify.catalog import (
     summary_table,
     yuoh13_rays,
 )
+from ksverify.colorability import KSInstance, find_ks_assignment
 from ksverify.cyclotomic import omega
+from ksverify.game import minimal_distribution_search
 from ksverify.orthograph import automorphisms
 from ksverify.rays import Ray
 
-from oracles import basis_rays
+from oracles import (
+    IMAGE_CONDUCTORS,
+    IMAGE_MATRICES,
+    IMAGE_SOURCES,
+    basis_rays,
+    non_monomial_image,
+)
 
 W = omega()
 W2 = W * W
@@ -364,3 +374,25 @@ def test_load_set_gives_an_instance_or_value_error(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     with contextlib.suppress(ValueError):
         load_set(path)
+
+
+def set_facts(inst: KSInstance) -> tuple:
+    """Bases, KS verdict, |Aut|, orbit sizes and minimal split."""
+    group = inst.graph.group
+    return (len(inst.basis_indices), find_ks_assignment(inst).satisfiable, group.order,
+            sorted(len(o) for o in group.orbits), minimal_distribution_search(inst).split())
+
+
+@cache
+def shipped_facts(name: str) -> tuple:
+    return set_facts(builtin(name))
+
+
+@pytest.mark.parametrize("name, matrix, n", list(itertools.product(
+    IMAGE_SOURCES, IMAGE_MATRICES, IMAGE_CONDUCTORS)))
+def test_a_non_monomial_image_keeps_every_verdict(name, matrix, n):
+    """The Fourier or rational image of a shipped set, with seeded phases,
+    has the source's facts, and rays whose canonical lead is not 1."""
+    image = non_monomial_image(name, matrix, n)
+    assert set_facts(KSInstance(name, image)) == shipped_facts(name)
+    assert any(next(c for c in r.canonical if not c.is_zero()) != 1 for r in image)

@@ -120,6 +120,8 @@ def test_verify_cnf_export(tmp_path, run_cli):
     # peres33's rays under the name new33
     (["--expect-paper", "verify", "new33.json"], EXIT_MISMATCH),
     (["minimal", "new33", "--budget", "0"], EXIT_INCOMPLETE),
+    # an empty value is a name like any other, not the default set list
+    (["--expect-paper", "table1", "--sets", ""], EXIT_MISSING_DATA),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_process_exits_like_main(argv, expected, tmp_path, monkeypatch, capsys):
     """Each documented exit code, and the same output, through cli.run()."""
@@ -582,6 +584,13 @@ BAD_FILES = {
     ["table1", "--sets", "new33", "--budget", "-1"],
     ["table1", "--sets", "yuoh13", "--budget", "-1"],
     ["table1", "--minimal", "none", "--budget", "nan"],
+    # an empty option value is given, not absent
+    ["--expect-paper", "game", "new33", "--alice", "", "--bob", ""],
+    ["game", "new33", "--alice", "", "--bob", "1"],
+    ["verify", "new33", "--export-cnf", ""],
+    ["game", "new33", "--export-graph", ""],
+    ["game", "new33", "--export-legend", ""],
+    ["majorana", "new33", "--out", ""],
 ], ids=" ".join)
 def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     for name, text in BAD_FILES.items():

@@ -13,6 +13,7 @@ from ksverify.colorability import (
     verify_assignment,
 )
 from ksverify.cyclotomic import omega
+from ksverify.orthograph import edge_list
 from ksverify.rays import Ray
 
 from oracles import basis_rays, dpll_satisfiable, ks_assignments_powerset, parse_dimacs_cnf
@@ -123,7 +124,7 @@ def test_cnf_clause_counts():
     inst = builtin("yuoh13")
     text = to_dimacs_cnf(inst)
     _, clauses = parse_dimacs_cnf(text)
-    assert len(clauses) == len(inst.graph.edges()) + len(inst.basis_indices)
+    assert len(clauses) == len(edge_list(inst.graph.adj)) + len(inst.basis_indices)
 
 
 @pytest.mark.parametrize("name", ["new33", "peres33", "conway31"])
@@ -156,7 +157,7 @@ def test_every_other_constraint_is_critical(name):
     """
     inst = builtin(name)
     nvars, clauses = parse_dimacs_cnf(to_dimacs_cnf(inst))
-    edges = inst.graph.edges()
+    edges = edge_list(inst.graph.adj)
     in_bases = {pair for t in inst.basis_indices for pair in itertools.combinations(t, 2)}
 
     def unsat_without(k):

@@ -357,17 +357,25 @@ def test_monomial_inverse_at_every_conductor():
 
 
 def test_only_a_non_monomial_inverse_runs_euclid(monkeypatch):
+    """A unit r * zeta_n^k inverts from one power-table row at every
+    conductor, k >= phi(n) (a whole reduced row) included; Euclid, the one
+    reader of Phi_n once the tables are built, runs only for a non-unit."""
     import ksverify.cyclotomic as cyclotomic
 
     calls = []
     polynomial = cyclotomic.cyclotomic_polynomial
     monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial",
                         lambda n: calls.append(n) or polynomial(n))
-    for n in (3, 8, 24):
+    rng = random.Random(26)
+    for n in range(1, MAX_CONDUCTOR + 1):
         _power_table(n)  # built, so only Euclid reads Phi_n from here on
-        for value in (Cyc(n, [Fraction(-5, 3)]), Cyc(n, [0, 7], 2)):
-            calls.clear()
-            assert value * value.inverse() == 1 and calls == []
+        calls.clear()
+        for k in (0, rng.randrange(n), n - 1):  # n - 1 >= phi(n) for n > 1
+            r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            value = Cyc(n, [0] * k + [r])
+            assert value * value.inverse() == 1
+        assert calls == []
+    for n in (3, 8, 24):
         calls.clear()
         value = Cyc(n, [1, 0, 2])
         assert value * value.inverse() == 1 and calls == [n]

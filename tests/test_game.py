@@ -177,7 +177,7 @@ def test_exclusivity_alpha_matches_bruteforce_on_small_games():
         g = build_game([bases[i] for i in ax], [bases[j] for j in bx])
         via_alpha = classical_value(g).classical
         best = best_strategy_pairs(g)
-        assert via_alpha == Fraction(best, g.n_contexts())
+        assert via_alpha == Fraction(best, len(g.contexts))
         assert classical_value_twolevel(g) == via_alpha
 
 

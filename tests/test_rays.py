@@ -1,10 +1,14 @@
 """Rays: canonical forms, inner products, basis completion and validation."""
 
 import contextlib
+import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ksverify.catalog import BUILTIN_NAMES, MissingDataError, builtin
 from ksverify.cyclotomic import Cyc, omega
 from ksverify.rays import (
     Ray,
@@ -15,7 +19,14 @@ from ksverify.rays import (
     validate_basis,
 )
 
-from oracles import scale_ray
+from oracles import (
+    IMAGE_CONDUCTORS,
+    IMAGE_MATRICES,
+    IMAGE_SOURCES,
+    canonical_rule_holds,
+    non_monomial_image,
+    scale_ray,
+)
 
 W = omega()
 W2 = W * W
@@ -149,3 +160,25 @@ def test_parse_ray_gives_a_ray_or_value_error(text):
 def test_str_shows_canonical_form():
     assert str(ray(W, W, 0)) == "(1,1,0)"
     assert str(ray(2, 2, 0)) == "(1,1,0)"
+
+
+def test_canonical_form_is_the_source_over_its_lead_with_content_cleared():
+    """Positive-integer lead, integer coefficients with gcd 1, proportional
+    to the source: the shipped sets, their non-monomial images, and random
+    rays of zeros and rational multiples of roots of unity."""
+    rays = []
+    for name in BUILTIN_NAMES:
+        with contextlib.suppress(MissingDataError):
+            rays += builtin(name).graph.vertices
+    for key in itertools.product(IMAGE_SOURCES, IMAGE_MATRICES, IMAGE_CONDUCTORS):
+        rays += non_monomial_image(*key)
+    rng = random.Random(26)
+    while len(rays) < 1000:
+        n = rng.choice([1, 3, 4, 6, 8, 12, 24])
+        components = [0 if rng.random() < 0.3 else
+                      Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+                      * Cyc.root_of_unity(n, rng.randrange(n)) for _ in range(3)]
+        if any(c != 0 for c in components):
+            rays.append(Ray(components))
+    for r in rays:
+        assert canonical_rule_holds(r), r
