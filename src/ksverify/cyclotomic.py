@@ -5,8 +5,11 @@ unity zeta_n, stored as integer numerators on the power basis
 1, zeta, ..., zeta^(phi(n)-1) over one positive denominator, in lowest
 terms, after reduction modulo the n-th cyclotomic polynomial.  Phi_n is
 monic, so reduction, sums, products and conjugation stay in integers.  That
-representation is unique, so equality at one conductor is structural.  A
-value keeps the conductor it is built at, but `from_triples` (all parsed and
+representation is unique, so equality at one conductor is structural.
+`Cyc(n, num, den)`, the one constructor, takes that form as given and only
+divides out the gcd; values come from `Cyc.from_rational`,
+`Cyc.from_triples`, `Cyc.root_of_unity` and the ring operations.  A value
+keeps the conductor it is built at, but `from_triples` (all parsed and
 set-file input) reads conductor 2m, m odd, at m; equality across conductors
 and hashing go through the lazily computed `minimal_form`, whose
 coefficients are Fractions.
@@ -94,10 +97,9 @@ def _unit(n: int, coeffs) -> tuple[Fraction, int] | None:
 
 
 def _reduce(n: int, coeffs: list[int]) -> list[int]:
-    """Reduce integer coefficients on powers of zeta_n modulo Phi_n."""
+    """Reduce integer coefficients on powers of zeta_n, at least phi(n) of
+    them, modulo Phi_n."""
     phi = _phi(n)
-    if len(coeffs) <= phi:
-        return coeffs + [0] * (phi - len(coeffs))
     table = _power_table(n)
     out = coeffs[:phi]
     for j in range(phi, len(coeffs)):
@@ -106,21 +108,6 @@ def _reduce(n: int, coeffs: list[int]) -> list[int]:
             for i, t in table[j % n]:  # zeta^n = 1
                 out[i] += c * t
     return out
-
-
-def _integral(coeffs: list, den) -> tuple[list[int], int]:
-    """Integer numerators over one positive denominator for int/Fraction input."""
-    if not isinstance(den, int):
-        raise TypeError(f"denominator {den!r} is not an integer")
-    if not den:
-        raise ZeroDivisionError("cyclotomic number with denominator 0")
-    for c in coeffs:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"cannot interpret {c!r} as an exact rational coefficient")
-    scale = lcm(*(c.denominator for c in coeffs))
-    sign = 1 if den > 0 else -1
-    num = [sign * c.numerator * (scale // c.denominator) for c in coeffs]
-    return num, abs(den) * scale
 
 
 # The largest conductor the tests build, lcm(5, 8, 9).  Tables for conductor
@@ -141,29 +128,18 @@ class Cyc:
     Immutable and hashable; arithmetic between different conductors coerces
     to the lcm conductor.  `is_zero` and equality are exact.  The value is
     sum(num[j] * zeta_n^j) / den with integer `num` of length phi(n), `den`
-    positive and gcd(den, *num) == 1.
+    positive and gcd(den, *num) == 1.  Build one with a `from_*` helper,
+    `root_of_unity` or a ring operation, not with the constructor.
     """
 
     __slots__ = ("n", "num", "den", "_minimal")
 
-    def __init__(self, n: int, coeffs, den: int = 1, *, _reduced: bool = False) -> None:
-        """The value sum(coeffs[j] * zeta_n^j) / den.
+    def __init__(self, n: int, num: list[int], den: int = 1) -> None:
+        """The value sum(num[j] * zeta_n^j) / den.
 
-        Coefficients are ints or Fractions and may run past phi(n); `den` is
-        a nonzero int.  `_reduced` is for this module's own results: a fresh
-        list of phi(n) ints over a positive int `den`, so only the gcd is
-        taken out.
+        `num` is phi(n) ints, already reduced modulo Phi_n, and `den` a
+        positive int; only their gcd is taken out, and nothing is checked.
         """
-        if _reduced:
-            num = coeffs
-        else:
-            phi = _phi(n)
-            num = coeffs if type(coeffs) is list else list(coeffs)  # read, never written
-            # A Fraction or float term makes the sum a Fraction or float.
-            if type(den) is not int or den < 1 or type(sum(num)) is not int:
-                num, den = _integral(num, den)
-            if len(num) != phi:
-                num = _reduce(n, num)
         if den != 1 and (g := gcd(den, *num)) != 1:
             num = [c // g for c in num]
             den //= g
@@ -180,9 +156,7 @@ class Cyc:
     @staticmethod
     def from_rational(value) -> "Cyc":
         """An int or Fraction as a conductor-1 value."""
-        if isinstance(value, Fraction):
-            return Cyc(1, [value.numerator], value.denominator)
-        return Cyc(1, [value])
+        return Cyc(1, [value.numerator], value.denominator)
 
     @staticmethod
     def root_of_unity(n: int, power: int = 1) -> "Cyc":
@@ -191,11 +165,11 @@ class Cyc:
 
     @staticmethod
     def zero() -> "Cyc":
-        return Cyc(1, [0], _reduced=True)
+        return Cyc(1, [0])
 
     @staticmethod
     def one() -> "Cyc":
-        return Cyc(1, [1], _reduced=True)
+        return Cyc(1, [1])
 
     # -- coercion ------------------------------------------------------------
 
@@ -226,17 +200,17 @@ class Cyc:
             if c:
                 for i, t in table[k * j % m]:
                     out[i] += c * t
-        return Cyc(m, out, self.den, _reduced=True)
+        return Cyc(m, out, self.den)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other, sign: int = 1) -> "Cyc":
         n, a, b = self._common(other)
         if a.den == b.den:
-            return Cyc(n, [x + sign * y for x, y in zip(a.num, b.num)], a.den, _reduced=True)
+            return Cyc(n, [x + sign * y for x, y in zip(a.num, b.num)], a.den)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
-        return Cyc(n, [fa * x + fb * y for x, y in zip(a.num, b.num)], den, _reduced=True)
+        return Cyc(n, [fa * x + fb * y for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
@@ -244,7 +218,7 @@ class Cyc:
         return self.__add__(other, -1)
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, [-c for c in self.num], self.den, _reduced=True)
+        return Cyc(self.n, [-c for c in self.num], self.den)
 
     def __mul__(self, other) -> "Cyc":
         n, a, b = self._common(other)
@@ -257,7 +231,7 @@ class Cyc:
                     xy = x * y
                     for k, t in table[(i + j) % n]:  # zeta^(i+j) on the phi(n) powers
                         out[k] += xy * t
-        return Cyc(n, out, a.den * b.den, _reduced=True)
+        return Cyc(n, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -280,7 +254,7 @@ class Cyc:
             out = [0] * phi
             for i, t in _power_table(n)[-k % n]:
                 out[i] = scale * t
-            return Cyc(n, out, abs(p), _reduced=True)
+            return Cyc(n, out, abs(p))
 
         def trim(p):
             while len(p) > 1 and not p[-1]:
@@ -307,7 +281,7 @@ class Cyc:
         scale = self.den if r1[0] > 0 else -self.den
         out = [scale * x for x in trim(s1)]
         out += [0] * (phi - len(out))
-        return Cyc(n, out, abs(r1[0]), _reduced=True)
+        return Cyc(n, out, abs(r1[0]))
 
     def __truediv__(self, other) -> "Cyc":
         return self * Cyc._as_cyc(other).inverse()
@@ -408,6 +382,7 @@ class Cyc:
 
     @staticmethod
     def from_triples(n: int, triples) -> "Cyc":
+        """sum(num / den * zeta_n^power) over int triples (power, num, den), den != 0."""
         # n = 2m, m odd, is read at m: zeta_2m^p = (-1)^p * zeta_m^(p * (n // 4 + 1))
         m, k, s = (n // 2, n // 4 + 1, -1) if check_conductor(n) % 4 == 2 else (n, 1, 1)
         terms = [(p * k % m, s ** (p % 2) * num, den) for p, num, den in triples]
@@ -417,7 +392,7 @@ class Cyc:
         coeffs = [0] * m
         for j, num, d in terms:
             coeffs[j] += num * (den // d)
-        return Cyc(m, coeffs, den)
+        return Cyc(m, _reduce(m, coeffs), den)
 
     def evaluate(self) -> complex:
         """Floating-point value at zeta_d = exp(2*pi*i/d), d the minimal conductor.

@@ -13,6 +13,7 @@ exactly zero on losing events.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -175,18 +176,17 @@ def classical_value_twolevel(g: Game) -> Fraction:
 
     A strategy of Alice is one mask, bit 3x+a set for her answer a to x.
     Answer b to y wins the contexts (x, y) whose Alice bit lies in its mask
-    `replies[y][b]`, so it wins popcount(strategy & mask) of them.
+    `replies[y][b]`, so it wins popcount(strategy & mask) of them.  The 3^|X|
+    strategies are scored as they are generated, never held in a list.
     """
     replies = [[0, 0, 0] for _ in g.bob_bases]
     for c in g.contexts:
         for k in bits(c.win_mask):
             a, b = divmod(k, 3)
             replies[c.y][b] |= 1 << (3 * c.x + a)
-    strategies = [0]
-    for x in range(len(g.alice_bases)):
-        strategies = [s | 1 << (3 * x + a) for s in strategies for a in range(3)]
+    answers = [[1 << (3 * x + a) for a in range(3)] for x in range(len(g.alice_bases))]
     best = max(sum(max((s & w).bit_count() for w in row) for row in replies)
-               for s in strategies)
+               for s in map(sum, itertools.product(*answers)))
     return Fraction(best, len(g.contexts))
 
 
@@ -233,17 +233,26 @@ def quantum_value_maxent(g: Game):
 
 
 def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None) -> None:
-    """Edge-list export of the winning-event exclusivity graph plus a legend."""
+    """Edge-list export of the winning-event exclusivity graph plus a legend.
+
+    If either file cannot be written, the one already opened is removed, so
+    an OSError leaves neither behind.
+    """
     events = winning_events(g)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dimacs_edges(exclusivity_adjacency(events)))
+    files = [(path, dimacs_edges(exclusivity_adjacency(events)))]
     if legend_path is not None:
-        legend = ["index x y a b"]
-        legend += [
-            f"{i + 1} {x} {y} {a} {b}" for i, (x, y, a, b) in enumerate(events)
-        ]
-        with open(legend_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(legend) + "\n")
+        rows = "".join(f"{i + 1} {x} {y} {a} {b}\n" for i, (x, y, a, b) in enumerate(events))
+        files.append((legend_path, "index x y a b\n" + rows))
+    opened = []
+    try:
+        for name, text in files:
+            with open(name, "w", encoding="utf-8") as fh:
+                opened.append(name)
+                fh.write(text)
+    except OSError:
+        for name in opened:
+            os.remove(name)
+        raise
 
 
 # -- minimal input-cardinality search ----------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .cyclotomic import Cyc
 
@@ -25,11 +25,9 @@ def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
     if first is None:
         raise ValueError("ray components must not all be zero")
     scaled = tuple(c / first for c in components)
-    # clear denominators and divide out integer content, jointly
+    # clear denominators jointly; the lead is now 1, so the integer content is 1
     fracs = [x for c in scaled for x in c.minimal_form()[1]]
-    lcm_den = lcm(*(f.denominator for f in fracs))
-    content = gcd(*(f.numerator * (lcm_den // f.denominator) for f in fracs))
-    factor = Fraction(lcm_den, content)
+    factor = Fraction(lcm(*(f.denominator for f in fracs)))
     integral = tuple(c * factor for c in scaled)
     conductor = lcm(*(c.minimal_form()[0] for c in integral))
     one = Cyc.one()

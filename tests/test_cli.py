@@ -574,6 +574,8 @@ BAD_FILES = {
     ["verify", "new33", "--export-cnf", "nodir/x.cnf"],
     ["game", "new33", "--export-graph", "nodir/g.txt"],
     ["game", "new33", "--export-legend", "nodir/l.txt"],
+    # a legend that cannot be written leaves no graph file either
+    ["game", "new33", "--export-graph", "x.csv", "--export-legend", "nodir/l.txt"],
     ["symmetry", "sym8.json"],
     ["game", "sym8.json"],
     ["minimal", "sym8.json"],

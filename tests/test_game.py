@@ -181,6 +181,23 @@ def test_exclusivity_alpha_matches_bruteforce_on_small_games():
         assert classical_value_twolevel(g) == via_alpha
 
 
+def test_twolevel_value_scores_strategies_as_generated():
+    """3^9 Alice strategies held in a list take about 1 MB; scored one at a
+    time they take a few kB."""
+    import tracemalloc
+
+    bases = basis_rays(builtin("new33"))
+    g = build_game(bases[:9], [bases[13]])
+    tracemalloc.start()
+    try:
+        value = classical_value_twolevel(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert value == Fraction(best_strategy_pairs(g), len(g.contexts))
+
+
 def test_exclusivity_graph_export_roundtrip(tmp_path, game45):
     path = tmp_path / "excl.dimacs"
     legend = tmp_path / "excl.legend"
