@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 from math import lcm
-from pathlib import Path
 
 from .colorability import KSInstance
 from .cyclotomic import Cyc, check_conductor, omega
@@ -100,8 +99,6 @@ _CODE_BUILT = {
 # if set, else in the package's data/.
 BUILTIN_NAMES = (*_CODE_BUILT, "peres33", "conway31", "schuette33", "penrose33")
 
-_CACHE: dict[str, KSInstance] = {}
-
 
 def builtin_rays(name: str) -> list[Ray]:
     """The rays of a named shipped set; a code-built set builds no graph for them."""
@@ -111,25 +108,25 @@ def builtin_rays(name: str) -> list[Ray]:
 
 
 def builtin(name: str) -> KSInstance:
-    """A named shipped instance; file-backed names need their data file."""
-    if name in _CACHE:
-        return _CACHE[name]
+    """A named shipped instance, built or read afresh on each call.
+
+    File-backed names need their data file, looked up in the directory
+    that KSVERIFY_DATA_DIR names at the time of the call.
+    """
     if name in _CODE_BUILT:
         rays, notes = _CODE_BUILT[name]
-        inst = KSInstance(name, rays(), notes=notes)
-    elif name in BUILTIN_NAMES:
-        data = os.environ.get("KSVERIFY_DATA_DIR") or Path(__file__).parent / "data"
-        path = Path(data, f"{name}.json")
-        if not path.exists():
-            raise MissingDataError(
-                f"no coordinate data for {name!r}: expected {path}; "
-                f"this optional set runs only when its data file is present"
-            )
-        inst = load_set(path)
-    else:
+        return KSInstance(name, rays(), notes=notes)
+    if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown set {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    _CACHE[name] = inst
-    return inst
+    data = os.environ.get("KSVERIFY_DATA_DIR") or os.path.join(os.path.dirname(__file__), "data")
+    # the error line names "d/x.json", not "./d//x.json"
+    path = os.path.normpath(os.path.join(data, f"{name}.json"))
+    if not os.path.exists(path):
+        raise MissingDataError(
+            f"no coordinate data for {name!r}: expected {path}; "
+            f"this optional set runs only when its data file is present"
+        )
+    return load_set(path)
 
 
 def check_name(name_or_path: str) -> str:
@@ -156,7 +153,6 @@ def load_set(path) -> KSInstance:
     """
     import json
 
-    path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -166,7 +162,7 @@ def load_set(path) -> KSInstance:
             raise InvalidSetError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidSetError(f"{path}: not a JSON object")
-    name = doc.get("name", path.stem)
+    name = doc.get("name", os.path.splitext(os.path.basename(path))[0])
     conductor = doc.get("conductor", 1)
     declared = doc.get("declared_bases", [])
     notes = doc.get("notes", [])

@@ -84,9 +84,12 @@ def _indices(flag: str, text: str) -> list[int]:
     out = []
     for entry in text.split(","):
         try:
-            out.append(int(entry))
+            index = int(entry)
         except ValueError:
             raise ValueError(f"{flag} entry {entry!r} is not a basis index") from None
+        if index in out:
+            raise ValueError(f"{flag} repeats basis index {index}")
+        out.append(index)
     return out
 
 

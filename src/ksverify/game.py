@@ -447,34 +447,30 @@ def minimal_distribution_search(
     levels = _levels(group, W, nb, deadline)
     classes = []  # per size: (canonical X count, [(index, X, bad sets)] with no perfect strategy)
     checked = 0
-    for product in range(1, nb * nb + 1):
-        for a in range(1, nb + 1):
-            if product % a:
-                continue
-            b = product // a
-            if a > b or b > nb:
-                continue
-            if time.monotonic() >= deadline:
+    # every split a <= b <= nb, by product and then by Alice's size a
+    splits = sorted((a * b, a, b) for b in range(1, nb + 1) for a in range(1, b + 1))
+    for product, a, b in splits:
+        if time.monotonic() >= deadline:
+            return MinimalSplitResult(None, None, None, False, checked)
+        if a > len(classes):  # a == b: the first product that needs size a
+            level = next(levels, None)
+            if level is None:
                 return MinimalSplitResult(None, None, None, False, checked)
-            if a > len(classes):  # a == b: the first product that needs size a
-                level = next(levels, None)
-                if level is None:
-                    return MinimalSplitResult(None, None, None, False, checked)
-                unwinnable = []
-                for index, (images, state) in enumerate(level):
-                    if state is None:
-                        if time.monotonic() >= deadline:
-                            return MinimalSplitResult(None, None, None, False, checked)
-                        X = _subset(images[0], nb)
-                        unwinnable.append((index, X, _bad_sets_for(X, W, nb)))
-                classes.append((len(level), unwinnable))
-            count, unwinnable = classes[a - 1]
-            for index, X, bads in unwinnable:
-                if not _hits(bads, b):
-                    continue
-                y_masks = map(sum, itertools.combinations(low_bits, b))
-                for Y, y_mask in zip(itertools.combinations(range(nb), b), y_masks):
-                    if all(map(y_mask.__and__, bads)):
-                        return MinimalSplitResult(product, X, Y, True, checked + index + 1)
-            checked += count
+            unwinnable = []
+            for index, (images, state) in enumerate(level):
+                if state is None:
+                    if time.monotonic() >= deadline:
+                        return MinimalSplitResult(None, None, None, False, checked)
+                    X = _subset(images[0], nb)
+                    unwinnable.append((index, X, _bad_sets_for(X, W, nb)))
+            classes.append((len(level), unwinnable))
+        count, unwinnable = classes[a - 1]
+        for index, X, bads in unwinnable:
+            if not _hits(bads, b):
+                continue
+            y_masks = map(sum, itertools.combinations(low_bits, b))
+            for Y, y_mask in zip(itertools.combinations(range(nb), b), y_masks):
+                if all(map(y_mask.__and__, bads)):
+                    return MinimalSplitResult(product, X, Y, True, checked + index + 1)
+        checked += count
     return MinimalSplitResult(None, None, None, True, checked)

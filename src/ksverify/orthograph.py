@@ -111,17 +111,14 @@ def max_independent_set(adj) -> tuple[int, tuple[int, ...]]:
     recursion limit.
     """
     n = len(adj)
-    if n == 0:
-        return 0, ()
     classes = greedy_clique_cover(adj)
     k = len(classes)
-    best_size = 0
-    best_chain = None
-    # (class index, allowed vertices, size, chosen vertices as a (v, rest) chain);
+    best_size = best = 0
+    # (class index, allowed vertices, size, chosen vertices as a bitmask);
     # children are pushed in reverse, so they are visited in branching order
-    stack = [(0, (1 << n) - 1, 0, None)]
+    stack = [(0, (1 << n) - 1, 0, 0)]
     while stack:
-        ci, allowed, size, chain = stack.pop()
+        ci, allowed, size, chosen = stack.pop()
         rem = 0
         for j in range(ci, k):
             if classes[j] & allowed:
@@ -129,16 +126,12 @@ def max_independent_set(adj) -> tuple[int, tuple[int, ...]]:
         if size + rem <= best_size:
             continue
         if ci == k:
-            best_size, best_chain = size, chain
+            best_size, best = size, chosen
             continue
-        stack.append((ci + 1, allowed & ~classes[ci], size, chain))
-        stack += reversed([(ci + 1, allowed & ~adj[v] & ~(1 << v), size + 1, (v, chain))
+        stack.append((ci + 1, allowed & ~classes[ci], size, chosen))
+        stack += reversed([(ci + 1, allowed & ~adj[v] & ~(1 << v), size + 1, chosen | 1 << v)
                            for v in bits(classes[ci] & allowed)])
-    best_set = []
-    while best_chain is not None:
-        v, best_chain = best_chain
-        best_set.append(v)
-    return best_size, tuple(sorted(best_set))
+    return best_size, tuple(bits(best))
 
 
 # -- automorphism group --------------------------------------------------------

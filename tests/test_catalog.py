@@ -103,19 +103,23 @@ def test_unknown_name_rejected():
 
 def test_penrose_slot_is_polite(tmp_path, monkeypatch):
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
-    import ksverify.catalog as cat
-
-    cat._CACHE.clear()
-    try:
-        with pytest.raises(MissingDataError):
-            builtin("penrose33")
-    finally:
-        cat._CACHE.clear()
+    with pytest.raises(MissingDataError):
+        builtin("penrose33")
 
 
-def test_instance_of_a_shipped_name_is_the_cached_builtin():
-    assert instance("new33") is builtin("new33")
-    assert instance("peres33") is builtin("peres33")
+def test_builtin_reads_the_data_dir_on_each_call(tmp_path, monkeypatch):
+    assert builtin("peres33").graph.n == 33
+    monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
+    with pytest.raises(MissingDataError):
+        builtin("peres33")
+
+
+def test_instance_of_a_shipped_name_is_its_builtin():
+    for name in ("new33", "peres33"):
+        inst, expected = instance(name), builtin(name)
+        assert inst.graph.vertices == expected.graph.vertices
+        assert inst.basis_indices == expected.basis_indices
+        assert inst.notes == expected.notes
 
 
 def test_instance_of_a_path_is_loaded_by_load_set(tmp_path, monkeypatch):
@@ -139,10 +143,7 @@ def test_instance_of_an_unknown_name_is_missing_data():
 
 
 def test_instance_of_a_file_backed_name_needs_its_data_file(tmp_path, monkeypatch):
-    import ksverify.catalog as cat
-
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
-    monkeypatch.setattr(cat, "_CACHE", {})
     with pytest.raises(MissingDataError, match="expected " + re.escape(
             str(tmp_path / "peres33.json")) + ";"):
         instance("peres33")

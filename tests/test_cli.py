@@ -129,7 +129,6 @@ def test_process_exits_like_main(argv, expected, tmp_path, monkeypatch, capsys):
              tmp_path / "new33.json")
     (tmp_path / "data").mkdir()
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path / "data"))
-    monkeypatch.setattr(catalog, "_CACHE", {})
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
@@ -359,16 +358,10 @@ def test_table1_keys_rows_by_set_name(tmp_path, capsys):
 
 def test_table1_skips_missing_politely(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
-    import ksverify.catalog as cat
-
-    cat._CACHE.clear()
-    try:
-        code, out = run(capsys, "table1", "--sets", "new33,peres33")
-        assert code == EXIT_OK
-        assert "skipped peres33" in out
-        assert "new33" in out
-    finally:
-        cat._CACHE.clear()
+    code, out = run(capsys, "table1", "--sets", "new33,peres33")
+    assert code == EXIT_OK
+    assert "skipped peres33" in out
+    assert "new33" in out
 
 
 def test_table1_rejects_an_unknown_name(capsys):
@@ -384,14 +377,8 @@ def test_table1_rejects_an_unknown_name(capsys):
 
 def test_missing_data_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
-    import ksverify.catalog as cat
-
-    cat._CACHE.clear()
-    try:
-        code = main(["verify", "peres33"])
-        assert code == EXIT_MISSING_DATA
-    finally:
-        cat._CACHE.clear()
+    code = main(["verify", "peres33"])
+    assert code == EXIT_MISSING_DATA
 
 
 def test_unknown_set_is_missing_data(capsys):
@@ -457,11 +444,11 @@ def test_each_graph_enumerates_its_group_once(argv, enumerations, monkeypatch, c
     enumerate_automorphisms = orthograph.enumerate_automorphisms
     monkeypatch.setattr(orthograph, "enumerate_automorphisms",
                         lambda adj: calls.append(adj) or enumerate_automorphisms(adj))
-    monkeypatch.setattr(catalog, "_CACHE", {})
     assert main(argv) == EXIT_OK
+    assert len(calls) == enumerations
     g = builtin("new33").graph
     assert g.group is g.group
-    assert len(calls) == enumerations
+    assert len(calls) == enumerations + 1
 
 
 @pytest.mark.parametrize("gens,fact", [("Z", "Z_closure_is_new33"),
@@ -476,7 +463,6 @@ def test_generate_builds_no_graph(gens, fact, monkeypatch, capsys):
     for module in (orthograph, colorability):
         monkeypatch.setattr(module, "build_graph",
                             lambda rays: calls.append("build_graph") or build_graph(rays))
-    monkeypatch.setattr(catalog, "_CACHE", {})
     args = build_parser().parse_args(["generate", "--seed", "yuoh13", "--gens", gens])
     facts = args.func(args)
     assert facts["yuoh13"][fact] is True
@@ -567,6 +553,9 @@ BAD_FILES = {
     ["game", "new33", "--alice", ",", "--bob", "1"],
     ["game", "new33", "--alice", "99", "--bob", "1"],
     ["game", "new33", "--alice", "0"],
+    # a repeated basis index adds nothing but run time
+    ["game", "new33", "--alice", "0,0", "--bob", "1"],
+    ["game", "new33", "--alice", "0", "--bob", "1,1"],
     ["game", "conway31"],
     ["verify", "."],
     ["majorana", "new33", "--out", "nodir/x.csv"],
@@ -619,6 +608,8 @@ def test_bad_basis_index_names_flag_and_entry(capsys):
     assert capsys.readouterr() == ("", "error: --bob entry 'x' is not a basis index\n")
     assert main(["game", "new33", "--alice", "0"]) == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: --alice and --bob must be given together\n")
+    assert main(["game", "new33", "--alice", "0,1", "--bob", "2,3,2"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --bob repeats basis index 2\n")
 
 
 @pytest.mark.parametrize("text", [

@@ -54,7 +54,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 def test_cli_import_defers_json_csv_cmath_but_loads_every_module():
     """`import ksverify.cli` leaves json, csv and cmath to the calls that use
-    them, and still loads every package module.
+    them, loads no pathlib, and still loads every package module.
 
     The second check matters to the benchmark tracer (`bench/tracer.py`): it
     rewraps a function at its `from ... import` bindings only in the modules
@@ -67,7 +67,7 @@ def test_cli_import_defers_json_csv_cmath_but_loads_every_module():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     loaded = set(out.split())
-    assert not {"json", "csv", "cmath"} & loaded
+    assert not {"json", "csv", "cmath", "pathlib"} & loaded
     traced = {"catalog", "colorability", "cyclotomic", "game", "majorana", "orthograph",
               "rays", "weylheisenberg"}
     assert {f"ksverify.{name}" for name in traced} <= loaded
