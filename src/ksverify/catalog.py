@@ -263,26 +263,3 @@ def save_set(inst: KSInstance, path, provenance: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(serialize(inst, provenance), fh, indent=1)
         fh.write("\n")
-
-
-# -- summary report ------------------------------------------------------------
-
-
-def summary_table(sets) -> str:
-    """Fixed-width text table of (name, facts) pairs as `table1` builds them."""
-    headers = ["set", "rays", "bases", "vertex types", "symmetry", "KS", "minimal"]
-    rows = [
-        [
-            name, str(f["rays"]), str(f["bases"]), str(f["orbit_count"]),
-            str(f["aut_order"]), f["ks"],
-            f.get("minimal_split") or f.get("minimal_search") or "-",
-        ]
-        for name, f in sets
-    ]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines += [fmt(r) for r in rows]
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import catalog
-from .catalog import MissingDataError, builtin_rays, check_name, instance, summary_table
+from .catalog import MissingDataError, builtin_rays, check_name, instance
 from .colorability import KSInstance, find_ks_assignment
 from .game import (
     Game,
@@ -265,18 +265,40 @@ def cmd_majorana(args) -> dict:
     return {inst.name: {"sphere_points": 2 * inst.graph.n}}
 
 
+def summary_table(sets) -> str:
+    """Fixed-width text table of (name, facts) pairs as `table1` builds them."""
+    headers = ["set", "rays", "bases", "vertex types", "symmetry", "KS", "minimal"]
+    rows = [
+        [
+            name, str(f["rays"]), str(f["bases"]), str(f["orbit_count"]),
+            str(f["aut_order"]), f["ks"], f.get("minimal_split", "-"),
+        ]
+        for name, f in sets
+    ]
+    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+              for i, h in enumerate(headers)]
+    def fmt(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+    lines = [fmt(headers), fmt(["-" * w for w in widths])]
+    lines += [fmt(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_table1(args) -> dict:
     check_budget(args.budget)  # before any set loads, whether or not a search runs
     # a name that resolves to nothing fails the table; a shipped set without its file is skipped
     names = [check_name(name) for name in args.sets.split(",")] if args.sets is not None else [
         "schuette33", "conway31", "peres33", "penrose33", "new33"]
-    facts, shown, skipped = {}, [], []
+    # the rows, keyed by set name, are both the printed table and the facts
+    facts, notes, skipped = {}, [], []
     for name in names:
         try:
             inst = instance(name)
         except MissingDataError as exc:
             skipped.append((name, str(exc)))
             continue
+        if inst.name in facts:
+            raise ValueError(f"--sets gives two sets named {inst.name!r}")
         report = inst.graph.group
         satisfiable = find_ks_assignment(inst).satisfiable
         row = facts[inst.name] = {
@@ -285,14 +307,11 @@ def cmd_table1(args) -> dict:
             "ks": "SAT" if satisfiable else "UNSAT"}
         if args.minimal == "all" or (args.minimal == "new33" and name == "new33"):
             res = minimal_distribution_search(inst, budget_seconds=args.budget)
-            row["minimal_search"] = "complete" if res.complete else "incomplete"
-            if res.complete:
-                row["minimal_split"] = res.split()
-        shown.append((inst, row))
-    print(summary_table([(inst.name, row) for inst, row in shown]), end="")
-    for inst, _ in shown:
-        for note in inst.notes:
-            print(f"note ({inst.name}): {note}")
+            row["minimal_split"] = res.split() if res.complete else "incomplete"
+        notes += [f"note ({inst.name}): {note}" for note in inst.notes]
+    print(summary_table(facts.items()), end="")
+    for line in notes:
+        print(line)
     for name, why in skipped:
         print(f"skipped {name}: {why}")
     return facts

@@ -45,26 +45,16 @@ class KSInstance:
         return "{" + ", ".join(str(self.graph.vertices[v]) for v in self.basis_indices[bi]) + "}"
 
 
-class ColoringViolation(namedtuple("ColoringViolation", "kind detail")):
-    """One broken constraint; `kind` is "edge" or "basis"."""
-
-    __slots__ = ()
-
-
-def verify_assignment(inst: KSInstance, ones: int) -> list[ColoringViolation]:
-    """Empty list iff giving 1 to the rays in `ones` (bit i is vertex i) and
-    0 to the rest satisfies both constraint families."""
+def verify_assignment(inst: KSInstance, ones: int) -> list[str]:
+    """One line per broken constraint of giving 1 to the rays in `ones` (bit i
+    is vertex i) and 0 to the rest; empty iff both families hold."""
     g = inst.graph
-    out = []
-    for i, j in edge_list(g.adj):
-        if ones >> i & ones >> j & 1:
-            out.append(ColoringViolation(
-                "edge", f"orthogonal rays {g.vertices[i]} and {g.vertices[j]} both assigned 1"))
+    out = [f"orthogonal rays {g.vertices[i]} and {g.vertices[j]} both assigned 1"
+           for i, j in edge_list(g.adj) if ones >> i & ones >> j & 1]
     for bi, triple in enumerate(inst.basis_indices):
         s = sum(ones >> i & 1 for i in triple)
         if s != 1:
-            out.append(ColoringViolation(
-                "basis", f"basis #{bi} {inst.basis_str(bi)} has assignment sum {s}, want 1"))
+            out.append(f"basis #{bi} {inst.basis_str(bi)} has assignment sum {s}, want 1")
     return out
 
 

@@ -19,7 +19,6 @@ from ksverify.catalog import (
     load_set,
     new33_bases,
     save_set,
-    summary_table,
     yuoh13_rays,
 )
 from ksverify.colorability import KSInstance, find_ks_assignment
@@ -306,22 +305,6 @@ def test_declared_bases_are_read_off_the_graph(monkeypatch):
     inst = load_set(Path(cat.__file__).parent / "data" / "peres33.json")
     assert (inst.graph.n, len(inst.basis_indices)) == (33, 16)
     assert len(calls) == 33 * 32 // 2 == 528
-
-
-def test_summary_table_renders_deterministically():
-    def facts():
-        inst = builtin("yuoh13")
-        report = automorphisms(inst.graph)
-        return {"rays": inst.graph.n, "bases": len(inst.basis_indices),
-                "orbit_count": len(report.orbits), "aut_order": report.order,
-                "ks": "SAT"}
-
-    a = summary_table([("yuoh13", facts())])
-    b = summary_table([("yuoh13", facts())])
-    assert a == b
-    assert a.splitlines()[2].split() == ["yuoh13", "13", "4", "3", "24", "SAT", "-"]
-    c = summary_table([("yuoh13", {**facts(), "minimal_search": "incomplete"})])
-    assert c.splitlines()[2].split()[-1] == "incomplete"
 
 
 def test_yuoh13_rays_helper_matches_builtin():

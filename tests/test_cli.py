@@ -22,6 +22,7 @@ from ksverify.cli import (
     EXIT_USAGE,
     build_parser,
     main,
+    summary_table,
 )
 
 
@@ -373,6 +374,46 @@ def test_table1_rejects_an_unknown_name(capsys):
     assert code == EXIT_MISSING_DATA
     assert capsys.readouterr() == ("", expected.err)
     assert expected.err.startswith("missing data: 'nosuch' is neither a builtin set")
+
+
+def test_table1_out_of_budget_is_a_mismatch(capsys):
+    """An unfinished search shows `incomplete` in the table; under
+    --expect-paper it is a mismatch line, not a pass."""
+    code, table = run(capsys, "table1", "--budget", "0")
+    assert code == EXIT_OK
+    row = table.splitlines()[4].split()
+    assert (row[0], row[-1]) == ("new33", "incomplete")
+    code, out = run(capsys, "--expect-paper", "table1", "--budget", "0")
+    assert code == EXIT_MISMATCH
+    assert out == table + ("EXPECT-PAPER MISMATCH: new33.minimal_split: "
+                           "computed incomplete, expected 5-9\n")
+
+
+@pytest.mark.parametrize("sets", ["renamed,new33", "new33,renamed", "new33,new33"])
+def test_table1_rejects_two_sets_of_one_name(sets, tmp_path, capsys):
+    """A row per set name: a second set of that name is bad input, not a
+    second row or a row that replaces the first."""
+    path = tmp_path / "renamed.json"
+    save_set(colorability.KSInstance("new33", builtin("peres33").graph.vertices), path)
+    argv = ["table1", "--sets", sets.replace("renamed", str(path)), "--minimal", "none"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --sets gives two sets named 'new33'\n")
+
+
+def test_summary_table_renders_deterministically():
+    def facts():
+        inst = builtin("yuoh13")
+        report = orthograph.automorphisms(inst.graph)
+        return {"rays": inst.graph.n, "bases": len(inst.basis_indices),
+                "orbit_count": len(report.orbits), "aut_order": report.order,
+                "ks": "SAT"}
+
+    a = summary_table([("yuoh13", facts())])
+    b = summary_table([("yuoh13", facts())])
+    assert a == b
+    assert a.splitlines()[2].split() == ["yuoh13", "13", "4", "3", "24", "SAT", "-"]
+    c = summary_table([("yuoh13", {**facts(), "minimal_split": "incomplete"})])
+    assert c.splitlines()[2].split()[-1] == "incomplete"
 
 
 def test_missing_data_exit_code(tmp_path, monkeypatch, capsys):

@@ -46,11 +46,10 @@ def test_verify_assignment_examples():
     ok = assignment_for(inst, {e3})
     assert verify_assignment(inst, ok) == []
     both = assignment_for(inst, {e3, e2})
-    kinds = {v.kind for v in verify_assignment(inst, both)}
-    assert "edge" in kinds
+    assert any(line.endswith("both assigned 1") for line in verify_assignment(inst, both))
     none = assignment_for(inst, set())
-    kinds = {v.kind for v in verify_assignment(inst, none)}
-    assert kinds == {"basis"}
+    problems = verify_assignment(inst, none)
+    assert problems and all("assignment sum" in line for line in problems)
 
 
 def test_single_basis_enumeration():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ksverify
-from ksverify.colorability import ColoringViolation, SearchResult
+from ksverify.colorability import SearchResult
 from ksverify.game import Context, Game, GameValue, MinimalSplitResult, Strategy
 from ksverify.orthograph import AutGroupReport
 from ksverify.rays import BasisViolation
@@ -18,7 +18,6 @@ from ksverify.weylheisenberg import SicReport
 RECORDS = {
     BasisViolation: "index_a index_b product",
     AutGroupReport: "elements orbits",
-    ColoringViolation: "kind detail",
     SearchResult: "satisfiable ones nodes",
     Context: "x y shared win_mask",
     Game: "alice_bases bob_bases contexts",

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate the legacy vector-set data files under src/ksverify/data/.
 
-Each set is constructed from its literature description, re-verified
-against the published aggregate invariants (ray count, complete bases,
-automorphism order, vertex orbits, KS colorability), and only then
-serialized.  Run from the repository root:
+Each set is constructed from its literature description and written to
+<name>.json.new.  That file is then checked as a shipped set is, by
+`ksverify --expect-paper table1 --sets <file> --minimal all`: ray count,
+complete bases, automorphism order, vertex orbits, KS colorability and
+minimal split must all match cli.EXPECTED.  Only then does the file
+replace <name>.json; otherwise it is deleted and the tool exits nonzero.
+Run from the repository root:
 
     python3 tools/make_legacy_data.py
 """
@@ -16,8 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ksverify.catalog import save_set
-from ksverify.cli import EXPECTED
-from ksverify.colorability import KSInstance, find_ks_assignment
+from ksverify.cli import main
+from ksverify.colorability import KSInstance
 from ksverify.cyclotomic import sqrt2
 from ksverify.rays import Ray
 
@@ -38,20 +41,18 @@ def rays_from_texts(texts) -> list[Ray]:
     return [parse_ray(t) for t in texts]
 
 
-def verify(name, rays):
-    """The instance, once its invariants match the published ones in cli.EXPECTED."""
-    inst = KSInstance(name, rays)
-    group = inst.graph.group
-    res = find_ks_assignment(inst)
-    actual = (inst.graph.n, len(inst.basis_indices), group.order, len(group.orbits),
-              not res.satisfiable)
-    ref = EXPECTED[name]
-    expected = (len(rays), ref["bases"], ref["aut_order"], ref["orbit_count"], True)
-    if actual != expected:
-        raise SystemExit(f"{name}: invariants {actual} != expected {expected}")
-    print(f"{name}: {actual[0]} rays, {actual[1]} bases, |Aut|={actual[2]}, "
-          f"{actual[3]} orbits, UNSAT  -- ok")
-    return inst
+def publish(inst, provenance):
+    """Write data/<name>.json, once the written file passes `--expect-paper table1`."""
+    path = DATA / f"{inst.name}.json"
+    new = path.with_name(path.name + ".new")
+    save_set(inst, new, provenance=provenance)
+    try:
+        if main(["--expect-paper", "table1", "--sets", str(new), "--minimal", "all"]) != 0:
+            raise SystemExit(f"{new} does not match the published invariants; "
+                             f"{path.name} is left as it was")
+        new.replace(path)
+    finally:
+        new.unlink(missing_ok=True)
 
 
 def make_peres33():
@@ -61,10 +62,8 @@ def make_peres33():
     rays += signed_perms((0, 1, 1))
     rays += signed_perms((0, 1, s2))
     rays += signed_perms((1, 1, s2))
-    inst = verify("peres33", rays)
-    save_set(
-        inst,
-        DATA / "peres33.json",
+    publish(
+        KSInstance("peres33", rays),
         provenance=(
             "A. Peres, J. Phys. A 24, L175 (1991): the 33 rays whose squared "
             "direction cosines are permutations of (0,0,1), (0,1/2,1/2), "
@@ -85,10 +84,8 @@ CONWAY31 = [
 ]
 
 def make_conway31():
-    inst = verify("conway31", rays_from_texts(CONWAY31))
-    save_set(
-        inst,
-        DATA / "conway31.json",
+    publish(
+        KSInstance("conway31", rays_from_texts(CONWAY31)),
         provenance=(
             "J. H. Conway and S. Kochen, as presented in A. Peres, Quantum "
             "Theory: Concepts and Methods (Kluwer, 1993), p. 114: 31 rays "
