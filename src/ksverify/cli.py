@@ -305,7 +305,7 @@ def cmd_table1(args) -> dict:
             "rays": inst.graph.n, "bases": len(inst.basis_indices),
             "orbit_count": len(report.orbits), "aut_order": report.order,
             "ks": "SAT" if satisfiable else "UNSAT"}
-        if args.minimal == "all" or (args.minimal == "new33" and name == "new33"):
+        if args.minimal == "all" or (args.minimal == "new33" and inst.name == "new33"):
             res = minimal_distribution_search(inst, budget_seconds=args.budget)
             row["minimal_split"] = res.split() if res.complete else "incomplete"
         notes += [f"note ({inst.name}): {note}" for note in inst.notes]

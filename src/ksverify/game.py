@@ -17,7 +17,6 @@ import os
 import time
 from collections import namedtuple
 from fractions import Fraction
-from operator import or_
 
 from .colorability import KSInstance
 from .cyclotomic import Cyc
@@ -356,32 +355,40 @@ def _levels(group, W, nb: int, deadline: float):
     """The canonical subsets of range(nb) of each size 1, 2, ..., one level per size.
 
     A level lists the lex-least subset of each group orbit, in lex order,
-    as (images, state) entries: the subset's masks under every group
-    permutation as a tuple (`group` is sorted, so the identity comes
-    first), and the Bob-answer state left by a perfect Alice strategy on
-    it, or None when it has none.  Basis i is bit nb-1-i, so among subsets
-    of one size the lex-least has the largest mask, and a subset is
-    canonical iff no image exceeds its own mask.  Removing the largest
-    basis keeps a subset canonical, so each level is the previous one's
-    entries extended by a larger basis, in order.  A child of a winnable
-    entry tries the entry's state with the new basis's 3 rows, and runs
-    its own DFS only when all 3 fail; a child of an unwinnable entry is
-    unwinnable.  A level is emptied while the next is built from it.
-    The levels stop after any entry that ends at or past `deadline`, a
-    `time.monotonic()` reading.
+    as (images, state) entries: `images` packs the subset's mask under
+    every group permutation into one int, permutation k in lane k of
+    nb + 1 bits, and `state` is the Bob-answer state left by a perfect
+    Alice strategy on the subset, or None when it has none.  `group` is
+    sorted, so the identity is lane 0, the low nb bits: the subset's own
+    mask.  Basis i is bit nb-1-i, so among subsets of one size the
+    lex-least has the largest mask, and a subset is canonical iff no lane
+    exceeds lane 0.  One subtraction tests that: lane 0 copied into every
+    lane, with each lane's guard bit (bit nb) set, minus the images keeps
+    every guard bit iff it is so, and no lane borrows from the next.
+    Removing the largest basis keeps a subset canonical, so each level is
+    the previous one's entries extended by a larger basis, in order.  A
+    child of a winnable entry tries the entry's state with the new basis's
+    3 rows, and runs its own DFS only when all 3 fail; a child of an
+    unwinnable entry is unwinnable.  A level is emptied while the next is
+    built from it.  The levels stop after any entry that ends at or past
+    `deadline`, a `time.monotonic()` reading.
     """
     low = int("001" * nb, 2)
-    columns = [tuple(1 << nb - 1 - p[x] for p in group) for x in range(nb)]
-    level = [((0,) * len(group), 7 * low)]  # the empty subset
+    lane0 = (1 << nb) - 1
+    rep = sum(1 << k * (nb + 1) for k in range(len(group)))  # bit 0 of every lane
+    guards = rep << nb
+    columns = [sum(1 << nb - 1 - p[x] + k * (nb + 1) for k, p in enumerate(group))
+               for x in range(nb)]
+    level = [(0, 7 * low)]  # the empty subset
     for _ in range(nb):
         out = []
         level.reverse()
         while level:
             images, state = level.pop()
-            mask = images[0]
+            mask = images & lane0
             for x in range(nb + 1 - (mask & -mask or 1 << nb).bit_length(), nb):
-                child = tuple(map(or_, images, columns[x]))
-                if max(child) != child[0]:
+                child = images | columns[x]
+                if ((child & lane0) * rep | guards) - child & guards != guards:
                     continue
                 s = None
                 if state is not None:
@@ -390,7 +397,7 @@ def _levels(group, W, nb: int, deadline: float):
                         if not ~(s | s >> 1 | s >> 2) & low:
                             break
                     else:
-                        s = _perfect_state(_subset(child[0], nb), W, low)
+                        s = _perfect_state(_subset(child & lane0, nb), W, low)
                 out.append((child, s))
             if time.monotonic() >= deadline:
                 return
@@ -406,6 +413,32 @@ def _hits(sets: list[int], k: int) -> bool:
         return False
     m = min(sets, key=lambda s: (s.bit_count(), s))
     return any(_hits([s for s in sets if not s >> j & 1], k - 1) for j in bits(m))
+
+
+def _first_hitting(sets: list[int], need: int) -> tuple[int, ...] | None:
+    """The lex-first `need` bases meeting every set (basis j is bit 3*j), or None.
+
+    Once `_hits` says some exist, the bases are picked in ascending order,
+    each the smallest j after the last pick from which `_hits` still
+    finishes, on the sets j misses with one pick fewer.  That finish needs
+    no bases below j: with one, the picks, j and the finish would make a
+    Y that comes before the lex-first one.  Once nothing is left to hit,
+    the remaining picks are the bases right after the last.
+    """
+    if not _hits(sets, need):
+        return None
+    Y = []
+    j = 0
+    for left in range(need - 1, -1, -1):  # picks left after this one
+        while True:
+            rest = [s for s in sets if not s >> 3 * j & 1]
+            if _hits(rest, left):
+                break
+            j += 1
+        Y.append(j)
+        sets = rest
+        j += 1
+    return tuple(Y)
 
 
 def check_budget(budget_seconds: float) -> None:
@@ -428,13 +461,13 @@ def minimal_distribution_search(
     the prefix's perfect strategy.  Only the X with no perfect strategy
     are kept, with their inclusion-minimal unanswerable-basis sets (a Y
     meets every strategy's set iff it meets the minimal ones).  A
-    refutable Y of size b exists iff some b bases meet every such set, so
-    a small hitting-set decision gates the lex-first scan for Y, and a
-    size class with no hit adds its count of canonical X to
-    `candidates_checked`.  The budget is a `time.monotonic()` deadline,
-    checked once per (product, size) and after each prefix while a level
-    is built, so a budget of 0 stops at the first check.  A NaN or negative
-    budget raises ValueError.
+    refutable Y of size b is b bases that meet every such set, and
+    `_first_hitting` picks the lex-first one base by base; a size class
+    with no hit adds its count of canonical X to `candidates_checked`.
+    The budget is a `time.monotonic()` deadline, checked once per
+    (product, size) and after each prefix while a level is built, so a
+    budget of 0 stops at the first check.  A NaN or negative budget
+    raises ValueError.
     """
     check_budget(budget_seconds)
     nb = len(inst.basis_indices)
@@ -442,7 +475,6 @@ def minimal_distribution_search(
         return MinimalSplitResult(None, None, None, True, 0)
     group = _basis_permutation_group(inst, inst.graph.group.elements)
     W = _win_table(inst)
-    low_bits = [1 << 3 * j for j in range(nb)]  # basis j as a Bob-answer bit
     deadline = time.monotonic() + budget_seconds
     levels = _levels(group, W, nb, deadline)
     classes = []  # per size: (canonical X count, [(index, X, bad sets)] with no perfect strategy)
@@ -461,16 +493,13 @@ def minimal_distribution_search(
                 if state is None:
                     if time.monotonic() >= deadline:
                         return MinimalSplitResult(None, None, None, False, checked)
-                    X = _subset(images[0], nb)
+                    X = _subset(images & (1 << nb) - 1, nb)
                     unwinnable.append((index, X, _bad_sets_for(X, W, nb)))
             classes.append((len(level), unwinnable))
         count, unwinnable = classes[a - 1]
         for index, X, bads in unwinnable:
-            if not _hits(bads, b):
-                continue
-            y_masks = map(sum, itertools.combinations(low_bits, b))
-            for Y, y_mask in zip(itertools.combinations(range(nb), b), y_masks):
-                if all(map(y_mask.__and__, bads)):
-                    return MinimalSplitResult(product, X, Y, True, checked + index + 1)
+            Y = _first_hitting(bads, b)
+            if Y is not None:
+                return MinimalSplitResult(product, X, Y, True, checked + index + 1)
         checked += count
     return MinimalSplitResult(None, None, None, True, checked)

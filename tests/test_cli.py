@@ -357,6 +357,17 @@ def test_table1_keys_rows_by_set_name(tmp_path, capsys):
     ]
 
 
+def test_table1_searches_the_set_named_new33(tmp_path, capsys):
+    """The default `--minimal new33` follows the name inside the set, so a
+    set file of new33's rays gets its 5-9 split checked."""
+    path = tmp_path / "n33.json"
+    save_set(builtin("new33"), path)
+    code, out = run(capsys, "--expect-paper", "table1", "--sets", str(path))
+    assert code == EXIT_OK
+    row = out.splitlines()[2].split()
+    assert (row[0], row[-1]) == ("new33", "5-9")
+
+
 def test_table1_skips_missing_politely(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
     code, out = run(capsys, "table1", "--sets", "new33,peres33")

@@ -15,6 +15,7 @@ from ksverify.cyclotomic import omega
 from ksverify.game import (
     _bad_sets_for,
     _basis_permutation_group,
+    _first_hitting,
     _hits,
     _levels,
     _subset,
@@ -316,6 +317,19 @@ def test_hits_matches_combination_scan(family):
     assert _hits(sets, k) == scan
 
 
+@given(basis_families())
+@example((3, [], 2))  # no sets: any 2 bases, so the first two
+@example((3, [0b011, 0], 1))  # a set no Y can hit
+@example((5, [0b10000], 3))  # one basis hits, two smaller ones pad
+@example((4, [0b0011, 0b1100], 4))  # b = nb
+def test_first_hitting_matches_lex_first_combination(family):
+    nb, sets, b = family
+    spread = [sum(1 << 3 * j for j in range(nb) if s >> j & 1) for s in sets]
+    scan = next((Y for Y in itertools.combinations(range(nb), b)
+                 if all(s & sum(1 << j for j in Y) for s in sets)), None)
+    assert _first_hitting(spread, b) == scan
+
+
 # Alice's side of each set's minimal split, an X with bad sets (not None)
 SPLIT_ALICE = {
     "new33": (0, 10, 11, 12, 13),
@@ -397,7 +411,7 @@ def test_bad_sets_match_leaf_scan_on_synthetic_tables(table):
 def _level_subsets(group, table, nb: int):
     """Each level of the split search as [(X, state)], read before the next is built."""
     for level in _levels(group, table, nb, float("inf")):
-        yield [(_subset(images[0], nb), state) for images, state in level]
+        yield [(_subset(images & ((1 << nb) - 1), nb), state) for images, state in level]
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_ALICE))
@@ -421,6 +435,7 @@ def permutation_groups(draw):
 
 
 @given(permutation_groups())
+@example((6, sorted(itertools.permutations(range(6)))))  # 720 lanes
 def test_levels_match_sorted_image_rule_on_random_groups(case):
     nb, group = case
     table = [[7 * int("001" * nb, 2)] * 3] * nb  # every answer wins
