@@ -1,4 +1,7 @@
-"""Shipped vector sets and the set-file format.
+"""Shipped vector sets, the set-file format, and the sets' published values.
+
+`EXPECTED` holds every reference value that `--expect-paper` checks, and
+`table1_report` is the `table1` pipeline: one summary row per set.
 
 The 33-ray record set and its Yu-Oh subset are constructed in code from
 their 14 and 4 bases.  Legacy comparison sets (Peres-33, Conway-Kochen-31,
@@ -23,11 +26,13 @@ meaning sum (num/den) * zeta_n^power; [] is zero.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from math import lcm
 
-from .colorability import KSInstance
+from .colorability import KSInstance, find_ks_assignment
 from .cyclotomic import Cyc, check_conductor, omega
-from .rays import Ray, validate_basis
+from .game import check_budget, minimal_distribution_search
+from .rays import Ray, check_coefficients, validate_basis
 
 X3_CORRECTION_NOTE = (
     "basis x=3: third vector corrected to the unique orthogonal completion "
@@ -98,6 +103,37 @@ _CODE_BUILT = {
 # Every other shipped name is read from <name>.json in $KSVERIFY_DATA_DIR,
 # if set, else in the package's data/.
 BUILTIN_NAMES = (*_CODE_BUILT, "peres33", "conway31", "schuette33", "penrose33")
+
+# Published reference values checked by --expect-paper, keyed like the facts
+# each subcommand returns: {set name: {key: value}}.
+EXPECTED = {
+    "new33": {
+        "rays": 33, "bases": 14, "aut_order": 144, "orbit_sizes": [3, 12, 18],
+        "ks": "UNSAT", "contexts": 45, "events": 333,
+        "classical": Fraction(44, 45), "quantum": Fraction(1),
+        "minimal_product": 45, "minimal_split": "5-9",
+    },
+    # the Z-closure of the 13 rays is the new33 ray set; X maps them to themselves
+    "yuoh13": {"rays": 13, "bases": 4, "ks": "SAT",
+               "Z_closure_is_new33": True, "X_closure_is_seed": True},
+    "peres33": {"rays": 33, "bases": 16, "aut_order": 48, "orbit_count": 4,
+                "ks": "UNSAT", "minimal_split": "7-9"},
+    "conway31": {"rays": 31, "bases": 17, "aut_order": 4, "orbit_count": 10,
+                 "ks": "UNSAT", "minimal_split": "8-9"},
+    "schuette33": {"rays": 33, "bases": 20, "aut_order": 8, "orbit_count": 9,
+                   "ks": "UNSAT", "minimal_split": "8-9"},
+    "penrose33": {"rays": 33, "bases": 16, "aut_order": 48, "orbit_count": 4,
+                  "ks": "UNSAT", "minimal_split": "7-9"},
+    # every seed given to `sic` has an {X, Z} orbit that is a SIC-POVM
+    "xz_orbit": {"sic_povm": True},
+}
+
+
+def mismatches(facts: dict) -> list[str]:
+    """One line per computed fact that differs from its EXPECTED value."""
+    return [f"{name}.{key}: computed {value}, expected {EXPECTED[name][key]}"
+            for name, values in facts.items() for key, value in values.items()
+            if key in EXPECTED.get(name, {}) and value != EXPECTED[name][key]]
 
 
 def builtin_rays(name: str) -> list[Ray]:
@@ -196,7 +232,8 @@ def load_set(path) -> KSInstance:
             raise InvalidSetError(f"{path}: ray {i} {_clip(repr(spec))}: a component "
                                   f"is not a list of triples of three integers")
         try:
-            rays.append(Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec)))
+            rays.append(check_coefficients(
+                Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec))))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidSetError(f"{path}: ray {i} {_clip(repr(spec))}: {exc}") from None
     notes = list(notes)
@@ -263,3 +300,48 @@ def save_set(inst: KSInstance, path, provenance: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(serialize(inst, provenance), fh, indent=1)
         fh.write("\n")
+
+
+def summary_table(sets) -> str:
+    """Fixed-width text table of (name, facts) pairs as `table1` builds them."""
+    rows = [["set", "rays", "bases", "vertex types", "symmetry", "KS", "minimal"]]
+    rows += [[name, str(f["rays"]), str(f["bases"]), str(f["orbit_count"]),
+              str(f["aut_order"]), f["ks"], f.get("minimal_split", "-")] for name, f in sets]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    return "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n"
+                   for r in rows)
+
+
+def table1_report(sets: str | None, minimal: str, budget: float) -> tuple[dict, list[str]]:
+    """The `table1` pipeline: one row per set of the comma-separated `sets`
+    (default: every shipped set but yuoh13), with the split search run on
+    the sets that `minimal` ("new33", "all" or "none") names.
+
+    The rows, keyed by set name, are both the printed table and the facts.
+    A name that resolves to nothing fails the table; a shipped set without
+    its file gets a `skipped` line.
+    """
+    check_budget(budget)  # before any set loads, whether or not a search runs
+    names = [check_name(name) for name in sets.split(",")] if sets is not None else [
+        "schuette33", "conway31", "peres33", "penrose33", "new33"]
+    facts, notes, skipped = {}, [], []
+    for name in names:
+        try:
+            inst = instance(name)
+        except MissingDataError as exc:
+            skipped.append(f"skipped {name}: {exc}")
+            continue
+        if inst.name in facts:
+            raise ValueError(f"--sets gives two sets named {inst.name!r}")
+        report = inst.graph.group
+        satisfiable = find_ks_assignment(inst).satisfiable
+        row = facts[inst.name] = {
+            "rays": inst.graph.n, "bases": len(inst.basis_indices),
+            "orbit_count": len(report.orbits), "aut_order": report.order,
+            "ks": "SAT" if satisfiable else "UNSAT"}
+        if minimal == "all" or (minimal == "new33" and inst.name == "new33"):
+            res = minimal_distribution_search(inst, budget_seconds=budget)
+            row["minimal_split"] = res.split() if res.complete else "incomplete"
+        notes += [f"note ({inst.name}): {note}" for note in inst.notes]
+    return facts, summary_table(facts.items()).splitlines() + notes + skipped

@@ -44,6 +44,10 @@ class KSInstance:
         """Basis `bi` as `{r1, r2, r3}`."""
         return "{" + ", ".join(str(self.graph.vertices[v]) for v in self.basis_indices[bi]) + "}"
 
+    def note_lines(self) -> list[str]:
+        """The set's notes, the first lines of every report on it."""
+        return [f"note: {note}" for note in self.notes]
+
 
 def verify_assignment(inst: KSInstance, ones: int) -> list[str]:
     """One line per broken constraint of giving 1 to the rays in `ones` (bit i
@@ -145,3 +149,30 @@ def to_dimacs_cnf(inst: KSInstance) -> str:
     for triple in inst.basis_indices:
         lines.append(" ".join(str(t + 1) for t in triple) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def verify_report(inst: KSInstance, cnf_path: str | None = None) -> tuple[dict, list[str]]:
+    """The `verify` pipeline: the KS search, and the CNF written to `cnf_path` if given."""
+    result = find_ks_assignment(inst)
+    verdict = "SAT" if result.satisfiable else "UNSAT"
+    lines = inst.note_lines() + [
+        f"{inst.name}: {inst.graph.n} rays, {len(inst.basis_indices)} complete bases",
+        f"KS assignment search: {verdict} (search nodes: {result.nodes})"]
+    if result.satisfiable:
+        # vertices are in Ray.sort_key order, so bit order is ray order
+        ones = ", ".join(str(inst.graph.vertices[i]) for i in bits(result.ones))
+        lines.append(f"witness assignment, rays with value 1: {ones}")
+    if cnf_path is not None:
+        with open(cnf_path, "w", encoding="utf-8") as fh:
+            fh.write(to_dimacs_cnf(inst))
+        lines.append(f"constraint system written to {cnf_path} (DIMACS CNF)")
+    return {inst.name: {"rays": inst.graph.n, "bases": len(inst.basis_indices),
+                        "ks": verdict, "ks_nodes": result.nodes}}, lines
+
+
+def bases_report(inst: KSInstance) -> tuple[dict, list[str]]:
+    """The `bases` pipeline: every complete basis, by index."""
+    nb = len(inst.basis_indices)
+    lines = inst.note_lines() + [f"{inst.name}: {nb} complete bases"]
+    lines += [f"{i}: {inst.basis_str(i)}" for i in range(nb)]
+    return {inst.name: {"bases": nb}}, lines

@@ -82,3 +82,10 @@ def export_majorana(inst: KSInstance, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["ray_index", "ray", "point_index", "x", "y", "z"])
         writer.writerows(rows)
+
+
+def majorana_report(inst: KSInstance, path: str) -> tuple[dict, list[str]]:
+    """The `majorana` pipeline: the CSV of `export_majorana`, written to `path`."""
+    export_majorana(inst, path)
+    return {inst.name: {"sphere_points": 2 * inst.graph.n}}, inst.note_lines() + [
+        f"{inst.name}: wrote {2 * inst.graph.n} sphere points ({inst.graph.n} rays) to {path}"]

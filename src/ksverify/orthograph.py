@@ -61,12 +61,13 @@ def edge_list(adj) -> list[tuple[int, int]]:
     return [(i, j) for i, row in enumerate(adj) for j in bits(row >> (i + 1) << (i + 1))]
 
 
-def dimacs_edges(adj) -> str:
-    """DIMACS-like edge list ('p edge V E', 'e i j'), 1-based vertex numbers."""
-    edges = edge_list(adj)
-    lines = [f"p edge {len(adj)} {len(edges)}"]
-    lines += [f"e {i + 1} {j + 1}" for i, j in edges]
-    return "\n".join(lines) + "\n"
+def dimacs_edges(adj):
+    """A DIMACS-like edge list ('p edge V E', 'e i j'), 1-based vertex numbers,
+    yielded as the header line and then one row's edge lines at a time, so
+    no edge list is held."""
+    yield f"p edge {len(adj)} {sum((row >> (i + 1)).bit_count() for i, row in enumerate(adj))}\n"
+    for i, row in enumerate(adj):
+        yield "".join(f"e {i + 1} {j + 1}\n" for j in bits(row >> (i + 1) << (i + 1)))
 
 
 def build_graph(rays) -> OrthoGraph:
@@ -265,3 +266,17 @@ def automorphisms(g: OrthoGraph) -> AutGroupReport:
     elements = tuple(enumerate_automorphisms(g.adj))
     orbits = {tuple(sorted({p[v] for p in elements})) for v in range(g.n)}
     return AutGroupReport(elements=elements, orbits=tuple(sorted(orbits)))
+
+
+def symmetry_report(inst) -> tuple[dict, list[str]]:
+    """The `symmetry` pipeline on a KSInstance: the group order and each vertex orbit."""
+    report = inst.graph.group
+    sizes = sorted(len(o) for o in report.orbits)
+    lines = inst.note_lines() + [
+        f"{inst.name}: automorphism group order {report.order}",
+        f"vertex orbits: {len(report.orbits)} with sizes {sizes}"]
+    for oi, orbit in enumerate(report.orbits):
+        members = ", ".join(str(inst.graph.vertices[v]) for v in orbit)
+        lines.append(f"orbit {oi} (size {len(orbit)}): {members}")
+    return {inst.name: {"aut_order": report.order, "orbit_sizes": sizes,
+                        "orbit_count": len(report.orbits)}}, lines

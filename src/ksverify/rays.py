@@ -19,6 +19,12 @@ from math import lcm
 
 from .cyclotomic import Cyc
 
+# The most decimal digits of a canonical ray's coefficient: str(int) refuses
+# longer ints (sys.int_info.default_max_str_digits), so within this bound every
+# accepted ray prints.  Set files and ray literals are checked against it.
+MAX_COEFFICIENT_DIGITS = 4300
+_COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
+
 
 def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
     first = next((c for c in components if not c.is_zero()), None)
@@ -76,6 +82,16 @@ class Ray:
 
     def __repr__(self) -> str:
         return f"Ray{self}"
+
+
+def check_coefficients(ray: Ray) -> Ray:
+    """`ray`, or ValueError if a coefficient of its canonical form (an
+    integer) has more than MAX_COEFFICIENT_DIGITS digits."""
+    if any(abs(x.numerator) >= _COEFFICIENT_BOUND
+           for c in ray.canonical for x in c.minimal_form()[1]):
+        raise ValueError(f"a canonical ray coefficient has more than "
+                         f"{MAX_COEFFICIENT_DIGITS} digits")
+    return ray
 
 
 def inner(v: Ray, u: Ray) -> Cyc:
@@ -148,11 +164,12 @@ def _parse_component(text: str) -> Cyc:
 
 
 def parse_ray(text: str) -> Ray:
-    """Parse a ray literal like '(1,-w,w^2)'."""
+    """Parse a ray literal like '(1,-w,w^2)'; its canonical coefficients are
+    bounded as a set file's are."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     parts = s.split(",")
     if len(parts) != 3:
         raise ValueError(f"a ray literal needs 3 components: {text!r}")
-    return Ray(tuple(_parse_component(p) for p in parts))
+    return check_coefficients(Ray(tuple(_parse_component(p) for p in parts)))

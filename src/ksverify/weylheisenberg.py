@@ -11,8 +11,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from .catalog import BUILTIN_NAMES, builtin_rays
 from .cyclotomic import omega
-from .rays import Ray, inner
+from .rays import Ray, inner, parse_ray
 
 
 def apply(label: str, r: Ray) -> Ray:
@@ -85,3 +86,42 @@ def is_sic_povm(rays) -> SicReport:
                     f"normalized overlap^2 of {u} and {v} is {value}, want 1/4")
         table.append(tuple(row))
     return SicReport(not failures, rays, tuple(table), tuple(failures))
+
+
+def generate_report(seed: str, gens: str, print_rays: bool = False) -> tuple[dict, list[str]]:
+    """The `generate` pipeline: the closure of `seed` (a shipped set name or a
+    ray literal) under the generators in `gens` (e.g. "X,Z"), compared with
+    the seed and with the new33 ray set; the closure rays too if `print_rays`."""
+    if seed in BUILTIN_NAMES:
+        rays, seed_name = builtin_rays(seed), seed
+    else:
+        rays = [parse_ray(seed)]
+        seed_name = str(rays[0])
+    labels = [t for t in gens.replace(",", "") if t.strip()]
+    closure = orbit_closure(rays, labels)
+    same_as_seed = set(closure) == set(rays)
+    equal = set(closure) == set(builtin_rays("new33"))
+    lines = [f"orbit closure of {seed_name} under {{{', '.join(labels)}}}: {len(closure)} rays",
+             f"closure equals seed set: {same_as_seed}",
+             f"closure equals new33 ray set: {equal}"]
+    if print_rays:
+        lines += [f"  {r}" for r in closure]
+    key = "".join(labels) + "_closure"
+    return {seed_name: {key + "_rays": len(closure), key + "_is_seed": same_as_seed,
+                        key + "_is_new33": equal}}, lines
+
+
+def sic_report(seed: str) -> tuple[dict, list[str]]:
+    """The `sic` pipeline: the SIC-POVM check of the {X, Z} orbit of a ray literal."""
+    ray = parse_ray(seed)
+    orbit = orbit_closure([ray], ["X", "Z"])
+    report = is_sic_povm(orbit)
+    lines = [f"orbit of {ray} under {{X, Z}}: {len(orbit)} rays"]
+    lines += [f"  {r}" for r in report.rays]
+    lines.append(f"SIC-POVM: {report.is_sic}")
+    if report.failures:
+        lines += [f"  failure: {f}" for f in report.failures]
+    else:
+        lines.append("normalized squared overlaps (diagonal 1, off-diagonal 1/4):")
+        lines += ["  " + " ".join(str(v) for v in row) for row in report.overlaps]
+    return {"xz_orbit": {"seed": str(ray), "rays": len(orbit), "sic_povm": report.is_sic}}, lines

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ksverify import catalog, colorability, orthograph
-from ksverify.catalog import builtin, save_set, serialize
+from ksverify.catalog import builtin, save_set, serialize, summary_table
 from ksverify.cli import (
     EXIT_INCOMPLETE,
     EXIT_MISMATCH,
@@ -22,7 +22,6 @@ from ksverify.cli import (
     EXIT_USAGE,
     build_parser,
     main,
-    summary_table,
 )
 
 
@@ -439,18 +438,16 @@ def test_unknown_set_is_missing_data(capsys):
 
 
 def test_expectation_mismatch_exit_code(capsys, monkeypatch):
-    from ksverify import cli
-
-    monkeypatch.setitem(cli.EXPECTED["yuoh13"], "bases", 5)
+    monkeypatch.setitem(catalog.EXPECTED["yuoh13"], "bases", 5)
     code, out = run(capsys, "--expect-paper", "verify", "yuoh13")
     assert code == EXIT_MISMATCH
     assert "MISMATCH" in out
 
 
 def test_game_cross_check_disagreement_exits_mismatch(capsys, monkeypatch):
-    from ksverify import cli
+    from ksverify import game
 
-    monkeypatch.setattr(cli, "classical_value_twolevel", lambda game: Fraction(1))
+    monkeypatch.setattr(game, "classical_value_twolevel", lambda game: Fraction(1))
     code, out = run(capsys, "--expect-paper", "game", "new33")
     assert code == EXIT_MISMATCH
     assert out.splitlines()[-1] == (
@@ -466,9 +463,7 @@ def test_sic_expectation_mismatch(capsys):
 
 
 def test_generate_expectation_mismatch(capsys, monkeypatch):
-    from ksverify import cli
-
-    monkeypatch.setitem(cli.EXPECTED["yuoh13"], "Z_closure_is_new33", False)
+    monkeypatch.setitem(catalog.EXPECTED["yuoh13"], "Z_closure_is_new33", False)
     code, out = run(capsys, "--expect-paper", "generate",
                     "--seed", "yuoh13", "--gens", "Z")
     assert code == EXIT_MISMATCH
@@ -516,7 +511,7 @@ def test_generate_builds_no_graph(gens, fact, monkeypatch, capsys):
         monkeypatch.setattr(module, "build_graph",
                             lambda rays: calls.append("build_graph") or build_graph(rays))
     args = build_parser().parse_args(["generate", "--seed", "yuoh13", "--gens", gens])
-    facts = args.func(args)
+    facts, _ = args.func(args)
     assert facts["yuoh13"][fact] is True
     assert calls == []
 
@@ -646,16 +641,64 @@ def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     argv = [str(tmp_path / a) if a in BAD_FILES or a in (".", "x.csv")
             or a.startswith("nodir/") else a for a in argv]
     code = main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == EXIT_USAGE
+    assert out == ""  # nothing prints before the pipeline has finished
     assert not (tmp_path / "x.csv").exists()  # a failed export writes no file
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix)
     assert "Traceback" not in err
 
 
+def test_game_rejects_one_file_as_graph_and_legend(tmp_path, capsys):
+    """The legend would overwrite the graph, so the same file, however it is
+    spelled, is bad input, and no file is written."""
+    graph = tmp_path / "g.txt"
+    legend = f"{tmp_path}/./g.txt"
+    assert main(["game", "new33", "--export-graph", str(graph), "--export-legend", legend]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"error: --export-graph and --export-legend name one file: {legend}\n")
+    assert not graph.exists()
+
+
+# b = BIG + 7 and d = BIG + 9 are coprime, so the canonical form of the ray
+# (1, 1/b, 1/d) is (bd, d, b), whose first coefficient has 7,999 digits
+BIG = 10**3999
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "big.json"],
+    ["symmetry", "big.json"],
+    ["majorana", "big.json", "--out", "x.csv"],
+    ["sic", "--seed", f"(1,1/{BIG + 7},1/{BIG + 9})"],
+], ids=["verify", "symmetry", "majorana", "sic"])
+def test_a_canonical_coefficient_beyond_the_print_limit_is_bad_input(argv, tmp_path, capsys):
+    """str(int) refuses more than 4,300 digits, so such a ray could not be
+    printed: it is rejected where it is read, a set file's by its index."""
+    path = tmp_path / "big.json"
+    path.write_text(set_file(rays=E123[:2] + [[[[0, 1, 1]], [[0, 1, BIG + 7]], [[0, 1, BIG + 9]]]]))
+    argv = [str(tmp_path / a) if a in ("big.json", "x.csv") else a for a in argv]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert not (tmp_path / "x.csv").exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " if argv[0] == "sic" else f"error: {path}: ray 2 ")
+    assert err.endswith("a canonical ray coefficient has more than 4300 digits\n")
+
+
+def test_a_canonical_coefficient_at_the_print_limit_prints(tmp_path, capsys):
+    # the canonical form of (N, 1, 0) is (N, 1, 0): N has 4,300 digits
+    n = 10**4300 - 1
+    path = tmp_path / "edge.json"
+    path.write_text(set_file(rays=E123 + [[[[0, n, 1]], [[0, 1, 1]], []]]))
+    code, out = run(capsys, "symmetry", str(path))
+    assert code == EXIT_OK
+    assert f"({n},1,0)" in out
+
+
 def test_bad_basis_index_names_flag_and_entry(capsys):
-    # the split flags are read before the set loads, so no note line precedes the error
+    # the split flags are read before the set loads, so the error costs no load
     assert main(["game", "new33", "--alice", "0,1", "--bob", "1,x"]) == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: --bob entry 'x' is not a basis index\n")
     assert main(["game", "new33", "--alice", "0"]) == EXIT_USAGE

@@ -213,6 +213,22 @@ def test_exclusivity_graph_export_roundtrip(tmp_path, game45):
     assert len(legend_lines) == 334
 
 
+def test_exclusivity_graph_export_streams_its_lines(tmp_path, game45):
+    """The files are written as their lines are made, so the export's peak
+    allocation stays below the graph file's size (the new33 graph file is
+    about 105 kB; building its edge list and text first took about 1.7 MB)."""
+    import tracemalloc
+
+    path = tmp_path / "excl.dimacs"
+    tracemalloc.start()
+    try:
+        export_exclusivity_graph(game45, str(path), str(tmp_path / "excl.legend"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
 def test_exclusivity_edges_are_strategy_conflicts(game45):
     events = winning_events(game45)
     adj = exclusivity_adjacency(events)

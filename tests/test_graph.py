@@ -282,7 +282,7 @@ def test_enumerate_automorphisms_is_a_group():
 
 def test_dimacs_roundtrip():
     inst = builtin("yuoh13")
-    text = dimacs_edges(inst.graph.adj)
+    text = "".join(dimacs_edges(inst.graph.adj))
     assert text.startswith("p edge 13 24\n")
     adj = parse_dimacs_edges(text)
     assert adj == list(inst.graph.adj)

@@ -5,7 +5,7 @@ Each set is constructed from its literature description and written to
 <name>.json.new.  That file is then checked as a shipped set is, by
 `ksverify --expect-paper table1 --sets <file> --minimal all`: ray count,
 complete bases, automorphism order, vertex orbits, KS colorability and
-minimal split must all match cli.EXPECTED.  Only then does the file
+minimal split must all match catalog.EXPECTED.  Only then does the file
 replace <name>.json; otherwise it is deleted and the tool exits nonzero.
 Run from the repository root:
 
