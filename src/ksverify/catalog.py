@@ -4,9 +4,10 @@
 `table1_report` is the `table1` pipeline: one summary row per set.
 
 The 33-ray record set and its Yu-Oh subset are constructed in code from
-their 14 and 4 bases.  Legacy comparison sets (Peres-33, Conway-Kochen-31,
-Schuette-33) are transcriptions stored as JSON data files with provenance
-strings; each loads only if present, so a missing file degrades politely.
+their 14 and 4 bases.  Peres-33 and Conway-Kochen-31 are transcriptions
+stored as JSON data files with provenance strings; Schuette-33 and
+Penrose-33 are slots with no data.  A set loads only if its file is
+present, so a missing file degrades politely.
 
 File format (UTF-8 JSON):
 
@@ -32,7 +33,7 @@ from math import lcm
 from .colorability import KSInstance, find_ks_assignment
 from .cyclotomic import Cyc, check_conductor, omega
 from .game import check_budget, minimal_distribution_search
-from .rays import Ray, check_coefficients, validate_basis
+from .rays import Ray, clip, validate_basis
 
 X3_CORRECTION_NOTE = (
     "basis x=3: third vector corrected to the unique orthogonal completion "
@@ -47,11 +48,6 @@ class MissingDataError(FileNotFoundError):
 
 class InvalidSetError(ValueError):
     """A set file that parses but fails validation."""
-
-
-def _clip(text: str) -> str:
-    """`text` cut to about 80 characters, so an error line quoting it stays short."""
-    return text if len(text) <= 80 else text[:76] + " ..."
 
 
 def _ray(*components) -> Ray:
@@ -214,7 +210,7 @@ def load_set(path) -> KSInstance:
          and all(isinstance(n, str) for n in notes), "a list of strings"),
     ):
         if not ok:
-            raise InvalidSetError(f"{path}: {field} {_clip(repr(value))} is not {kind}")
+            raise InvalidSetError(f"{path}: {field} {clip(repr(value))} is not {kind}")
     try:
         check_conductor(conductor)
     except ValueError as exc:
@@ -225,17 +221,16 @@ def load_set(path) -> KSInstance:
     for i, spec in enumerate(ray_specs):
         if not isinstance(spec, list) or len(spec) != 3:
             raise InvalidSetError(
-                f"{path}: ray {i} {_clip(repr(spec))} does not have 3 components")
+                f"{path}: ray {i} {clip(repr(spec))} does not have 3 components")
         if not all(isinstance(comp, list) and all(
                 isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
                 for t in comp) for comp in spec):
-            raise InvalidSetError(f"{path}: ray {i} {_clip(repr(spec))}: a component "
+            raise InvalidSetError(f"{path}: ray {i} {clip(repr(spec))}: a component "
                                   f"is not a list of triples of three integers")
         try:
-            rays.append(check_coefficients(
-                Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec))))
+            rays.append(Ray(tuple(Cyc.from_triples(conductor, comp) for comp in spec)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSetError(f"{path}: ray {i} {_clip(repr(spec))}: {exc}") from None
+            raise InvalidSetError(f"{path}: ray {i} {clip(repr(spec))}: {exc}") from None
     notes = list(notes)
     if provenance:
         notes.insert(0, f"provenance: {provenance}")
@@ -244,29 +239,26 @@ def load_set(path) -> KSInstance:
     for i, ray in enumerate(rays):
         if ray in seen:
             problems.append(
-                f"rays {seen[ray]} and {i} are the same projective ray {_clip(str(ray))}")
+                f"rays {seen[ray]} and {i} are the same projective ray {clip(ray)}")
         else:
             seen[ray] = i
     for bi, triple in enumerate(declared):
         if not (isinstance(triple, list) and len(triple) == 3
                 and all(type(i) is int and 0 <= i < len(rays) for i in triple)):
-            raise InvalidSetError(f"{path}: declared basis {bi} {_clip(repr(triple))} is "
+            raise InvalidSetError(f"{path}: declared basis {bi} {clip(repr(triple))} is "
                                   f"not 3 ray indices in 0..{len(rays) - 1}")
     inst = KSInstance(name, rays, notes=tuple(notes))
-    # A declared basis is a triangle of the graph, whose edges are exact
-    # orthogonality tests; only a triple that is not one is checked again,
-    # for the inner products its error names.  A repeated index or ray is
-    # one vertex, never a triangle.
+    # a declared basis is one of the complete bases, or its error names the
+    # inner products; a repeated index or ray is one vertex, never a basis
     vertex = {ray: k for k, ray in enumerate(inst.graph.vertices)}
-    adj = inst.graph.adj
+    bases = set(inst.basis_indices)
     for bi, triple in enumerate(declared):
-        a, b, c = (vertex[rays[i]] for i in triple)
-        if adj[a] >> b & adj[a] >> c & adj[b] >> c & 1:
+        if tuple(sorted(vertex[rays[i]] for i in triple)) in bases:
             continue
         for v in validate_basis([rays[i] for i in triple]):
             problems.append(
                 f"declared basis {bi} {tuple(triple)}: rays {triple[v.index_a]} "
-                f"and {triple[v.index_b]} have inner product {_clip(str(v.product))}"
+                f"and {triple[v.index_b]} have inner product {clip(v.product)}"
             )
     if problems:
         if len(problems) > 3:  # keep the line short: name the first few

@@ -235,22 +235,24 @@ def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None)
     """Edge-list export of the winning-event exclusivity graph plus a legend.
 
     Both files are written line by line as they are generated.  If either
-    cannot be written, the one already opened is removed, so an OSError
-    leaves neither behind.
+    cannot be written, each file that this call created is removed; a path
+    that existed before (a symlink, a device) stays, perhaps rewritten.
     """
     events = winning_events(g)
     files = [(path, dimacs_edges(exclusivity_adjacency(events)))]
     if legend_path is not None:
         rows = (f"{i + 1} {x} {y} {a} {b}\n" for i, (x, y, a, b) in enumerate(events))
         files.append((legend_path, itertools.chain(["index x y a b\n"], rows)))
-    opened = []
+    created = []
     try:
         for name, lines in files:
+            fresh = not os.path.lexists(name)
             with open(name, "w", encoding="utf-8") as fh:
-                opened.append(name)
+                if fresh:
+                    created.append(name)
                 fh.writelines(lines)
     except OSError:
-        for name in opened:
+        for name in created:
             os.remove(name)
         raise
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .catalog import _clip
 from .colorability import KSInstance
-from .rays import Ray
+from .rays import Ray, clip
 
 CONVENTION = (
     "quadratic c0*t^2 - sqrt(2)*c1*t + c2; roots to sphere by inverse "
@@ -73,7 +72,7 @@ def export_majorana(inst: KSInstance, path: str) -> None:
         try:
             points = majorana_points(ray)
         except OverflowError:
-            raise ValueError(f"{inst.name}: ray {_clip(str(ray))} is beyond "
+            raise ValueError(f"{inst.name}: ray {clip(ray)} is beyond "
                              "floating-point range") from None
         rows += ([i, str(ray), k] + [f"{coord:.15g}" for coord in point]
                  for k, point in enumerate(points, start=1))

@@ -19,9 +19,9 @@ from math import lcm
 
 from .cyclotomic import Cyc
 
-# The most decimal digits of a canonical ray's coefficient: str(int) refuses
-# longer ints (sys.int_info.default_max_str_digits), so within this bound every
-# accepted ray prints.  Set files and ray literals are checked against it.
+# The most decimal digits of a canonical ray's coefficient, checked by every
+# Ray: str(int) refuses longer ints (sys.int_info.default_max_str_digits), so
+# every Ray prints.  A value built from rays may not; `clip` quotes it.
 MAX_COEFFICIENT_DIGITS = 4300
 _COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
 
@@ -51,7 +51,7 @@ def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
 
 
 class Ray:
-    """A vector in C^3 up to a nonzero scalar."""
+    """A vector in C^3 up to a nonzero scalar, its canonical coefficients bounded."""
 
     __slots__ = ("components", "canonical", "_hash")
 
@@ -61,6 +61,10 @@ class Ray:
             raise ValueError("a ray has exactly 3 components")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "canonical", _canonical_triple(comps))
+        if max(abs(x.numerator) for c in self.canonical
+               for x in c.minimal_form()[1]) >= _COEFFICIENT_BOUND:
+            raise ValueError(f"a canonical ray coefficient has more than "
+                             f"{MAX_COEFFICIENT_DIGITS} digits")
         object.__setattr__(self, "_hash", hash(self.canonical))
 
     def __setattr__(self, name, value):
@@ -84,14 +88,14 @@ class Ray:
         return f"Ray{self}"
 
 
-def check_coefficients(ray: Ray) -> Ray:
-    """`ray`, or ValueError if a coefficient of its canonical form (an
-    integer) has more than MAX_COEFFICIENT_DIGITS digits."""
-    if any(abs(x.numerator) >= _COEFFICIENT_BOUND
-           for c in ray.canonical for x in c.minimal_form()[1]):
-        raise ValueError(f"a canonical ray coefficient has more than "
-                         f"{MAX_COEFFICIENT_DIGITS} digits")
-    return ray
+def clip(value) -> str:
+    """str(`value`) cut to about 80 characters, for an error or failure line
+    that quotes it; a placeholder where str() refuses an int in it."""
+    try:
+        text = str(value)
+    except ValueError:
+        text = f"<more than {MAX_COEFFICIENT_DIGITS} digits>"
+    return text if len(text) <= 80 else text[:76] + " ..."
 
 
 def inner(v: Ray, u: Ray) -> Cyc:
@@ -110,7 +114,7 @@ class BasisViolation(namedtuple("BasisViolation", "index_a index_b product")):
     __slots__ = ()
 
     def __str__(self) -> str:
-        return f"pair ({self.index_a},{self.index_b}) has inner product {self.product}"
+        return f"pair ({self.index_a},{self.index_b}) has inner product {clip(self.product)}"
 
 
 def validate_basis(rays) -> list[BasisViolation]:
@@ -164,12 +168,11 @@ def _parse_component(text: str) -> Cyc:
 
 
 def parse_ray(text: str) -> Ray:
-    """Parse a ray literal like '(1,-w,w^2)'; its canonical coefficients are
-    bounded as a set file's are."""
+    """Parse a ray literal like '(1,-w,w^2)'."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     parts = s.split(",")
     if len(parts) != 3:
         raise ValueError(f"a ray literal needs 3 components: {text!r}")
-    return check_coefficients(Ray(tuple(_parse_component(p) for p in parts)))
+    return Ray(tuple(_parse_component(p) for p in parts))

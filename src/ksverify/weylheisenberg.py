@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .catalog import BUILTIN_NAMES, builtin_rays
 from .cyclotomic import omega
-from .rays import Ray, inner, parse_ray
+from .rays import Ray, clip, inner, parse_ray
 
 
 def apply(label: str, r: Ray) -> Ray:
@@ -77,13 +77,13 @@ def is_sic_povm(rays) -> SicReport:
         for j, v in enumerate(rays):
             value = overlaps[i, j]
             if value is None:
-                failures.append(f"overlap of {u} and {v} is irrational")
+                failures.append(f"overlap of {clip(u)} and {clip(v)} is irrational")
                 row.append(Fraction(0))
                 continue
             row.append(value)
             if i != j and value != Fraction(1, 4):
-                failures.append(
-                    f"normalized overlap^2 of {u} and {v} is {value}, want 1/4")
+                failures.append(f"normalized overlap^2 of {clip(u)} and {clip(v)} "
+                                f"is {clip(value)}, want 1/4")
         table.append(tuple(row))
     return SicReport(not failures, rays, tuple(table), tuple(failures))
 
@@ -92,12 +92,14 @@ def generate_report(seed: str, gens: str, print_rays: bool = False) -> tuple[dic
     """The `generate` pipeline: the closure of `seed` (a shipped set name or a
     ray literal) under the generators in `gens` (e.g. "X,Z"), compared with
     the seed and with the new33 ray set; the closure rays too if `print_rays`."""
+    labels = [t for t in gens.replace(",", "") if t.strip()]
+    if not labels:
+        raise ValueError(f"--gens {gens!r} names no generator; expected e.g. Z or X,Z")
     if seed in BUILTIN_NAMES:
         rays, seed_name = builtin_rays(seed), seed
     else:
         rays = [parse_ray(seed)]
         seed_name = str(rays[0])
-    labels = [t for t in gens.replace(",", "") if t.strip()]
     closure = orbit_closure(rays, labels)
     same_as_seed = set(closure) == set(rays)
     equal = set(closure) == set(builtin_rays("new33"))

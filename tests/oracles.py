@@ -12,8 +12,9 @@ stabilizer chain), a product closure and a union-find for automorphism
 groups, monomial maps applied to the rays themselves for a group found
 from the graph, two non-monomial matrices applied to the shipped rays for
 verdicts that must not change, and per-coefficient Fraction arithmetic
-with per-call Gaussian elimination for cyclotomic numbers, over its own
-Phi_n (long division of x^n - 1) and phi(n) (a count of the units mod n).
+with per-call Gaussian elimination for cyclotomic numbers and for the
+inner products of an orthogonality graph, over its own Phi_n (long
+division of x^n - 1) and phi(n) (a count of the units mod n).
 """
 
 from __future__ import annotations
@@ -562,6 +563,24 @@ def fraction_unit_form(n: int, coeffs) -> tuple[int, int, Fraction] | None:
 def fraction_coordinates(value) -> tuple[Fraction, ...]:
     """A Cyc's stored power-basis coordinates at its own conductor, as Fractions."""
     return tuple(Fraction(x, value.den) for x in value.num)
+
+
+def fraction_adjacency(rays) -> list[int]:
+    """Adjacency bitmasks of the orthogonality graph on `rays`, in their
+    order: an edge where <u|v> = sum conj(u_j) * v_j, taken in Fractions at
+    the lcm conductor, has every coordinate 0."""
+    rays = list(rays)
+    m = lcm(*(c.n for r in rays for c in r.components))
+    vectors = [[fraction_embed(c.n, m, fraction_coordinates(c)) for c in r.components]
+               for r in rays]
+    conjugates = [[fraction_conj(m, x) for x in v] for v in vectors]
+    adj = [0] * len(rays)
+    for i, j in combinations(range(len(rays)), 2):
+        terms = [fraction_product(m, a, b) for a, b in zip(conjugates[i], vectors[j])]
+        if not any(map(sum, zip(*terms))):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
 
 
 @cache

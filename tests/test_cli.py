@@ -595,6 +595,8 @@ BAD_FILES = {
     ["sic", "--seed", "(1,1/0,0)"],
     ["sic", "--seed", "(1,1)"],
     ["generate", "--seed", "(1,0,0)", "--gens", "Q"],
+    ["generate", "--seed", "yuoh13", "--gens", ""],
+    ["generate", "--seed", "yuoh13", "--gens", ","],
     ["game", "new33", "--alice", "a", "--bob", "1"],
     ["game", "new33", "--alice", "0", "--bob", "1,x"],
     ["game", "new33", "--alice", ",", "--bob", "1"],
@@ -650,6 +652,20 @@ def test_bad_input_exits_usage_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_failed_export_keeps_a_path_that_existed(tmp_path, capsys):
+    """Only files that the run created are removed when a later export
+    fails: a symlink given as the graph path stays, and so does its target."""
+    target = tmp_path / "target.txt"
+    target.write_text("kept\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    legend = tmp_path / "nodir" / "l.txt"
+    assert main(["game", "new33", "--export-graph", str(link), "--export-legend", str(legend)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert link.is_symlink() and target.exists()
+
+
 def test_game_rejects_one_file_as_graph_and_legend(tmp_path, capsys):
     """The legend would overwrite the graph, so the same file, however it is
     spelled, is bad input, and no file is written."""
@@ -695,6 +711,34 @@ def test_a_canonical_coefficient_at_the_print_limit_prints(tmp_path, capsys):
     code, out = run(capsys, "symmetry", str(path))
     assert code == EXIT_OK
     assert f"({n},1,0)" in out
+
+
+def test_a_declared_basis_whose_inner_product_is_beyond_the_print_limit(tmp_path, capsys):
+    """Rays 0 and 1 print, but their inner product 1 + (b+1)(b+3) has 6,001
+    digits: the error line still names the file and the basis."""
+    b = 10**3000
+    path = tmp_path / "wide.json"
+    path.write_text(set_file(rays=[[[[0, 1, 1]], [[0, b + 1, 1]], []],
+                                   [[[0, 1, 1]], [[0, b + 3, 1]], []], E123[2]],
+                             declared_bases=[[0, 1, 2]]))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", (
+        f"error: {path}: declared basis 0 (0, 1, 2): rays 0 and 1 have inner "
+        f"product <more than 4300 digits>\n"))
+
+
+def test_sic_failure_lines_quote_overlaps_beyond_the_print_limit(capsys):
+    """A seed within the coefficient bound whose overlaps are not: the
+    report prints, each failure line short."""
+    assert main(["sic", "--seed", f"(1,{10**2500 + 1},0)"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "SIC-POVM: False" in out
+    failures = [line for line in out.splitlines() if line.startswith("  failure: ")]
+    assert len(failures) == 72
+    assert all(line.endswith(" is <more than 4300 digits>, want 1/4") and len(line) < 250
+               for line in failures)
+    assert "Exceeds the limit" not in out
 
 
 def test_bad_basis_index_names_flag_and_entry(capsys):

@@ -40,6 +40,7 @@ from oracles import (
     best_strategy_pairs,
     canonical_subsets_reference,
     close_under_products,
+    fraction_adjacency,
     pair_is_refutable,
     parse_dimacs_edges,
     scale_ray,
@@ -89,6 +90,18 @@ def test_context_classification(game45):
 def test_total_winning_events(game45):
     assert game45.total_winning_events() == 333
     assert len(winning_events(game45)) == 333
+
+
+def test_contexts_and_events_recounted_from_fraction_inner_products():
+    """The paper's 45 contexts and 333 winning events of the default split,
+    counted from Fraction inner products with no game code: an event wins on
+    the same vertex or a non-adjacent pair (no vertex is its own neighbour)."""
+    inst = builtin("new33")
+    adj = fraction_adjacency(inst.graph.vertices)
+    alice, bob = default_split(inst)
+    contexts = [(inst.basis_indices[x], inst.basis_indices[y]) for x in alice for y in bob]
+    events = sum(1 for bx, by in contexts for a in bx for b in by if not adj[a] >> b & 1)
+    assert (len(contexts), events) == (45, 333)
 
 
 def test_classical_value_is_44_45(game45):

@@ -19,13 +19,18 @@ from ksverify.orthograph import (
 from ksverify.rays import Ray, validate_basis
 
 from oracles import (
+    IMAGE_CONDUCTORS,
+    IMAGE_MATRICES,
+    IMAGE_SOURCES,
     alpha_exhaustive,
     alpha_powerset,
     automorphisms_backtrack,
     automorphisms_bruteforce,
     close_under_products,
     count_orthogonal_pairs,
+    fraction_adjacency,
     monomial_symmetries,
+    non_monomial_image,
     orbits_of_group,
     parse_dimacs_edges,
     random_graph,
@@ -81,6 +86,19 @@ def test_complete_bases_are_the_adjacency_triangles(name, count):
     assert len(triangles) == count
     assert complete_bases(g) == triangles
     assert list(inst.basis_indices) == triangles
+
+
+@pytest.mark.parametrize("source", [
+    *(pytest.param(name, id=name) for name in ("new33", "peres33", "conway31", "yuoh13")),
+    *(pytest.param(key, id="-".join(map(str, key))) for key in itertools.product(
+        IMAGE_SOURCES, IMAGE_MATRICES, IMAGE_CONDUCTORS)),
+])
+def test_adjacency_matches_fraction_inner_products(source):
+    """Every edge of a shipped set's graph, and of its 18 non-monomial
+    images', against inner products in per-coefficient Fractions."""
+    g = (builtin(source).graph if isinstance(source, str)
+         else build_graph(non_monomial_image(*source)))
+    assert fraction_adjacency(g.vertices) == list(g.adj)
 
 
 def test_every_basis_validates():

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from ksverify.catalog import BUILTIN_NAMES, MissingDataError, builtin
 from ksverify.cyclotomic import Cyc, omega
 from ksverify.rays import (
+    BasisViolation,
     Ray,
+    clip,
     inner,
     is_orthogonal,
     _parse_component,
@@ -74,6 +76,24 @@ def test_canonicalize_is_idempotent():
 def test_all_zero_rejected():
     with pytest.raises(ValueError):
         Ray((Cyc.zero(), Cyc.zero(), Cyc.zero()))
+
+
+def test_every_ray_bounds_its_canonical_coefficients():
+    """str(int) refuses more than 4,300 digits, so no Ray is built with a
+    longer canonical coefficient, however it is made."""
+    assert str(Ray((10**4300 - 1, 1, 0))) == f"({10**4300 - 1},1,0)"
+    for components in [(10**4300, 1, 0), (1, Fraction(1, 10**4300), 0)]:
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            Ray(components)
+
+
+def test_clip_quotes_any_value_in_one_short_line():
+    assert clip(Fraction(1, 4)) == "1/4"
+    assert clip("x" * 100) == "x" * 76 + " ..."
+    assert clip(10**4300) == "<more than 4300 digits>"
+    assert clip(Cyc.from_rational(Fraction(10**5000 + 1, 3))) == "<more than 4300 digits>"
+    big = Cyc.from_rational(10**4400)
+    assert str(BasisViolation(0, 1, big)) == "pair (0,1) has inner product <more than 4300 digits>"
 
 
 def test_completion_examples():
