@@ -305,7 +305,7 @@ def summary_table(sets) -> str:
                    for r in rows)
 
 
-def table1_report(sets: str | None, minimal: str, budget: float) -> tuple[dict, list[str]]:
+def table1_report(sets: str | None, minimal: str, budget: float) -> tuple[dict, list[str], list]:
     """The `table1` pipeline: one row per set of the comma-separated `sets`
     (default: every shipped set but yuoh13), with the split search run on
     the sets that `minimal` ("new33", "all" or "none") names.
@@ -336,4 +336,4 @@ def table1_report(sets: str | None, minimal: str, budget: float) -> tuple[dict, 
             res = minimal_distribution_search(inst, budget_seconds=budget)
             row["minimal_split"] = res.split() if res.complete else "incomplete"
         notes += [f"note ({inst.name}): {note}" for note in inst.notes]
-    return facts, summary_table(facts.items()).splitlines() + notes + skipped
+    return facts, summary_table(facts.items()).splitlines() + notes + skipped, []

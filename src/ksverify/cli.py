@@ -1,11 +1,11 @@
 """Command-line interface: one subcommand per verification pipeline.
 
 Each pipeline lives beside the computation it reports on and returns its
-facts and its report lines; this module parses the arguments, prints the
-lines and, under `--expect-paper`, compares the facts with the published
-reference values (`catalog.EXPECTED`).  All numeric output is exact
-(integers and p/q rationals); reports are byte-identical across runs on
-the same inputs.
+facts, report lines and export files; this module parses the arguments,
+writes the files, prints the lines and, under `--expect-paper`, compares
+the facts with the published reference values (`catalog.EXPECTED`).  All
+numeric output is exact (integers and p/q rationals); reports are
+byte-identical across runs on the same inputs.
 """
 
 from __future__ import annotations
@@ -57,6 +57,25 @@ def cmd_game(args):
             raise ValueError(f"--export-graph and --export-legend name one file: {legend}")
     split = _split_from_args(args)
     return game.game_report(catalog.instance(args.set), split, graph, legend)
+
+
+def write_files(files) -> None:
+    """Stream each (path, lines) pair of `files` to its file, in order.  On an
+    OSError, at open or mid-write, remove each file this call created (not a
+    path that existed before) and raise the error again, named by its path."""
+    created = []
+    for path, lines in files:
+        try:
+            fresh = not os.path.lexists(path)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                if fresh:
+                    created.append(path)
+                fh.writelines(lines)
+        except OSError as exc:
+            for name in created:
+                os.remove(name)
+            exc.filename = exc.filename or path  # a failed write names no file
+            raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,13 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the subcommand's pipeline, then print its lines.  An error prints
-    one stderr line and nothing on stdout; facts of None end the run with
-    the subcommand's early exit code, skipping the --expect-paper check."""
+    """Run the subcommand's pipeline, write its files, then print its lines.
+    An error prints one stderr line and nothing on stdout; facts of None end
+    the run with the early exit code, skipping the --expect-paper check."""
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        facts, lines = args.func(args)
+        facts, lines, files = args.func(args)
+        write_files(files)
     except BrokenPipeError:  # an export to a closed stdout: run() ends the process
         raise
     except catalog.MissingDataError as exc:  # before OSError: it is a FileNotFoundError
@@ -162,10 +182,9 @@ def run() -> None:
     gc.freeze() puts every live object out of the collector's reach, so the
     shutdown collections skip the modules, classes and caches that the OS
     takes back anyway; objects still alive at exit are not finalized. That
-    is safe because every file the CLI writes is closed before main()
-    returns, stdout and stderr are flushed at exit either way, and nothing
-    in the package defines __del__. main() never freezes, so in-process
-    callers keep a normal heap.
+    is safe: write_files closes every file it opens, stdout and stderr are
+    flushed at exit either way, and nothing in the package defines __del__.
+    main() never freezes, so in-process callers keep a normal heap.
 
     A closed stdout (`ksverify ... | head`) exits 1 with nothing on stderr,
     stdout pointed at os.devnull so that the exit flush cannot fail again.

@@ -151,8 +151,8 @@ def to_dimacs_cnf(inst: KSInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_report(inst: KSInstance, cnf_path: str | None = None) -> tuple[dict, list[str]]:
-    """The `verify` pipeline: the KS search, and the CNF written to `cnf_path` if given."""
+def verify_report(inst: KSInstance, cnf_path: str | None = None) -> tuple[dict, list[str], list]:
+    """The `verify` pipeline: the KS search, and the CNF as the file `cnf_path` if given."""
     result = find_ks_assignment(inst)
     verdict = "SAT" if result.satisfiable else "UNSAT"
     lines = inst.note_lines() + [
@@ -162,17 +162,16 @@ def verify_report(inst: KSInstance, cnf_path: str | None = None) -> tuple[dict, 
         # vertices are in Ray.sort_key order, so bit order is ray order
         ones = ", ".join(str(inst.graph.vertices[i]) for i in bits(result.ones))
         lines.append(f"witness assignment, rays with value 1: {ones}")
-    if cnf_path is not None:
-        with open(cnf_path, "w", encoding="utf-8") as fh:
-            fh.write(to_dimacs_cnf(inst))
+    files = [] if cnf_path is None else [(cnf_path, [to_dimacs_cnf(inst)])]
+    if files:
         lines.append(f"constraint system written to {cnf_path} (DIMACS CNF)")
     return {inst.name: {"rays": inst.graph.n, "bases": len(inst.basis_indices),
-                        "ks": verdict, "ks_nodes": result.nodes}}, lines
+                        "ks": verdict, "ks_nodes": result.nodes}}, lines, files
 
 
-def bases_report(inst: KSInstance) -> tuple[dict, list[str]]:
+def bases_report(inst: KSInstance) -> tuple[dict, list[str], list]:
     """The `bases` pipeline: every complete basis, by index."""
     nb = len(inst.basis_indices)
     lines = inst.note_lines() + [f"{inst.name}: {nb} complete bases"]
     lines += [f"{i}: {inst.basis_str(i)}" for i in range(nb)]
-    return {inst.name: {"bases": nb}}, lines
+    return {inst.name: {"bases": nb}}, lines, []

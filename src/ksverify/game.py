@@ -13,7 +13,6 @@ exactly zero on losing events.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -231,38 +230,25 @@ def quantum_value_maxent(g: Game):
 # -- DIMACS export -----------------------------------------------------------------
 
 
-def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None) -> None:
-    """Edge-list export of the winning-event exclusivity graph plus a legend.
-
-    Both files are written line by line as they are generated.  If either
-    cannot be written, each file that this call created is removed; a path
-    that existed before (a symlink, a device) stays, perhaps rewritten.
-    """
+def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None) -> list:
+    """The (path, lines) pairs of the winning-event exclusivity graph (an edge
+    list) and, if `legend_path` is given, of its legend.  The lines are made
+    as a writer reads them, so neither file's text is ever held whole."""
     events = winning_events(g)
     files = [(path, dimacs_edges(exclusivity_adjacency(events)))]
     if legend_path is not None:
         rows = (f"{i + 1} {x} {y} {a} {b}\n" for i, (x, y, a, b) in enumerate(events))
         files.append((legend_path, itertools.chain(["index x y a b\n"], rows)))
-    created = []
-    try:
-        for name, lines in files:
-            fresh = not os.path.lexists(name)
-            with open(name, "w", encoding="utf-8") as fh:
-                if fresh:
-                    created.append(name)
-                fh.writelines(lines)
-    except OSError:
-        for name in created:
-            os.remove(name)
-        raise
+    return files
 
 
 def game_report(inst: KSInstance, split=None, graph_path: str | None = None,
-                legend_path: str | None = None) -> tuple[dict | None, list[str]]:
+                legend_path: str | None = None) -> tuple[dict | None, list[str], list]:
     """The `game` pipeline on the bases `split` = (Alice's, Bob's) of `inst`,
     default_split's by default: contexts, events, both classical values and
-    the quantum value, and the exclusivity graph exported if `graph_path` is
-    given.  The facts are None when the two classical values disagree.
+    the quantum value, and the exclusivity graph's export files if
+    `graph_path` is given.  The facts are None when the two classical values
+    disagree.
 
     An explicit split is keyed apart, so the default-split references skip it.
     """
@@ -292,18 +278,18 @@ def game_report(inst: KSInstance, split=None, graph_path: str | None = None,
         f"quantum value (conjugate-basis maximally entangled strategy): {quantum}",
         "convention: Bob measures the componentwise-conjugated basis, so event "
         "probabilities are |<a|b>|^2/(3|a|^2|b|^2) and vanish exactly on orthogonal pairs"]
-    if graph_path is not None:
-        export_exclusivity_graph(game, graph_path, legend_path)
+    files = [] if graph_path is None else export_exclusivity_graph(game, graph_path, legend_path)
+    if files:
         lines.append(f"exclusivity graph written to {graph_path}" + (
             f" with legend {legend_path}" if legend_path is not None else ""))
     if value.classical != cross:
         lines.append("INTERNAL MISMATCH: exclusivity-graph and strategy enumeration disagree")
-        return None, lines
+        return None, lines, files
     key = inst.name
     if split is not None:
         key += f"[{','.join(map(str, ax))}|{','.join(map(str, bx))}]"
     return {key: {"contexts": len(game.contexts), "events": total,
-                  "classical": value.classical, "quantum": quantum}}, lines
+                  "classical": value.classical, "quantum": quantum}}, lines, files
 
 
 # -- minimal input-cardinality search ----------------------------------------------
@@ -557,7 +543,7 @@ def minimal_distribution_search(
     return MinimalSplitResult(None, None, None, True, checked)
 
 
-def minimal_report(inst: KSInstance, budget_seconds: float) -> tuple[dict | None, list[str]]:
+def minimal_report(inst: KSInstance, budget_seconds: float) -> tuple[dict | None, list[str], list]:
     """The `minimal` pipeline: the least refutable split, or None facts if the
     search ran out of budget."""
     result = minimal_distribution_search(inst, budget_seconds=budget_seconds)
@@ -565,7 +551,7 @@ def minimal_report(inst: KSInstance, budget_seconds: float) -> tuple[dict | None
     if not result.complete:
         lines.append(f"{inst.name}: search incomplete within budget "
                      f"({budget_seconds}s); no refutable pair found so far")
-        return None, lines
+        return None, lines, []
     if result.product is None:
         lines.append(f"{inst.name}: no basis split refutes all classical strategies")
     else:
@@ -576,4 +562,4 @@ def minimal_report(inst: KSInstance, budget_seconds: float) -> tuple[dict | None
             "note: minimality criterion is the absence of a perfect classical strategy, "
             "searched exhaustively over basis subsets up to instance symmetry"]
     return {inst.name: {"minimal_product": result.product,
-                        "minimal_split": result.split()}}, lines
+                        "minimal_split": result.split()}}, lines, []

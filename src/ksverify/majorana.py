@@ -59,32 +59,25 @@ def majorana_points(
     return (points[0], points[1])
 
 
-def export_majorana(inst: KSInstance, path: str) -> None:
-    """CSV: one row per (ray, point): index, canonical ray, point 1/2, x, y, z.
-
-    Every point is computed before `path` is opened, so a ray whose points
-    leave floating-point range raises ValueError and writes no file.
-    """
-    import csv
-
-    rows = []
+def export_majorana(inst: KSInstance, path: str) -> list:
+    """The (path, lines) pair of the CSV: a convention line, a header, then one
+    row per (ray, point) as the csv module writes it (CRLF-ended; the ray,
+    with commas and never a quote, quoted).  Every line is built before any
+    file opens, so a ray beyond float range raises ValueError and no file is written."""
+    lines = [f"# {CONVENTION}\n", "ray_index,ray,point_index,x,y,z\r\n"]
     for i, ray in enumerate(inst.graph.vertices):
         try:
             points = majorana_points(ray)
         except OverflowError:
             raise ValueError(f"{inst.name}: ray {clip(ray)} is beyond "
                              "floating-point range") from None
-        rows += ([i, str(ray), k] + [f"{coord:.15g}" for coord in point]
-                 for k, point in enumerate(points, start=1))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {CONVENTION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["ray_index", "ray", "point_index", "x", "y", "z"])
-        writer.writerows(rows)
+        lines += (f'{i},"{ray}",{k},{x:.15g},{y:.15g},{z:.15g}\r\n'
+                  for k, (x, y, z) in enumerate(points, start=1))
+    return [(path, lines)]
 
 
-def majorana_report(inst: KSInstance, path: str) -> tuple[dict, list[str]]:
-    """The `majorana` pipeline: the CSV of `export_majorana`, written to `path`."""
-    export_majorana(inst, path)
-    return {inst.name: {"sphere_points": 2 * inst.graph.n}}, inst.note_lines() + [
-        f"{inst.name}: wrote {2 * inst.graph.n} sphere points ({inst.graph.n} rays) to {path}"]
+def majorana_report(inst: KSInstance, path: str) -> tuple[dict, list[str], list]:
+    """The `majorana` pipeline: the CSV of `export_majorana`, as the file `path`."""
+    n = inst.graph.n
+    lines = inst.note_lines() + [f"{inst.name}: wrote {2 * n} sphere points ({n} rays) to {path}"]
+    return {inst.name: {"sphere_points": 2 * n}}, lines, export_majorana(inst, path)

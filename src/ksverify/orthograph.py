@@ -268,7 +268,7 @@ def automorphisms(g: OrthoGraph) -> AutGroupReport:
     return AutGroupReport(elements=elements, orbits=tuple(sorted(orbits)))
 
 
-def symmetry_report(inst) -> tuple[dict, list[str]]:
+def symmetry_report(inst) -> tuple[dict, list[str], list]:
     """The `symmetry` pipeline on a KSInstance: the group order and each vertex orbit."""
     report = inst.graph.group
     sizes = sorted(len(o) for o in report.orbits)
@@ -279,4 +279,4 @@ def symmetry_report(inst) -> tuple[dict, list[str]]:
         members = ", ".join(str(inst.graph.vertices[v]) for v in orbit)
         lines.append(f"orbit {oi} (size {len(orbit)}): {members}")
     return {inst.name: {"aut_order": report.order, "orbit_sizes": sizes,
-                        "orbit_count": len(report.orbits)}}, lines
+                        "orbit_count": len(report.orbits)}}, lines, []

@@ -88,13 +88,15 @@ def is_sic_povm(rays) -> SicReport:
     return SicReport(not failures, rays, tuple(table), tuple(failures))
 
 
-def generate_report(seed: str, gens: str, print_rays: bool = False) -> tuple[dict, list[str]]:
+def generate_report(seed: str, gens: str, print_rays: bool = False) -> tuple[dict, list[str], list]:
     """The `generate` pipeline: the closure of `seed` (a shipped set name or a
     ray literal) under the generators in `gens` (e.g. "X,Z"), compared with
     the seed and with the new33 ray set; the closure rays too if `print_rays`."""
     labels = [t for t in gens.replace(",", "") if t.strip()]
     if not labels:
         raise ValueError(f"--gens {gens!r} names no generator; expected e.g. Z or X,Z")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"--gens repeats generator {max(labels, key=labels.count)}")
     if seed in BUILTIN_NAMES:
         rays, seed_name = builtin_rays(seed), seed
     else:
@@ -110,10 +112,10 @@ def generate_report(seed: str, gens: str, print_rays: bool = False) -> tuple[dic
         lines += [f"  {r}" for r in closure]
     key = "".join(labels) + "_closure"
     return {seed_name: {key + "_rays": len(closure), key + "_is_seed": same_as_seed,
-                        key + "_is_new33": equal}}, lines
+                        key + "_is_new33": equal}}, lines, []
 
 
-def sic_report(seed: str) -> tuple[dict, list[str]]:
+def sic_report(seed: str) -> tuple[dict, list[str], list]:
     """The `sic` pipeline: the SIC-POVM check of the {X, Z} orbit of a ray literal."""
     ray = parse_ray(seed)
     orbit = orbit_closure([ray], ["X", "Z"])
@@ -126,4 +128,5 @@ def sic_report(seed: str) -> tuple[dict, list[str]]:
     else:
         lines.append("normalized squared overlaps (diagonal 1, off-diagonal 1/4):")
         lines += ["  " + " ".join(str(v) for v in row) for row in report.overlaps]
-    return {"xz_orbit": {"seed": str(ray), "rays": len(orbit), "sic_povm": report.is_sic}}, lines
+    facts = {"seed": str(ray), "rays": len(orbit), "sic_povm": report.is_sic}
+    return {"xz_orbit": facts}, lines, []

@@ -511,7 +511,7 @@ def test_generate_builds_no_graph(gens, fact, monkeypatch, capsys):
         monkeypatch.setattr(module, "build_graph",
                             lambda rays: calls.append("build_graph") or build_graph(rays))
     args = build_parser().parse_args(["generate", "--seed", "yuoh13", "--gens", gens])
-    facts, _ = args.func(args)
+    facts, _, _ = args.func(args)
     assert facts["yuoh13"][fact] is True
     assert calls == []
 
@@ -597,6 +597,9 @@ BAD_FILES = {
     ["generate", "--seed", "(1,0,0)", "--gens", "Q"],
     ["generate", "--seed", "yuoh13", "--gens", ""],
     ["generate", "--seed", "yuoh13", "--gens", ","],
+    # a repeated generator label adds nothing, and no fact would be checked
+    ["generate", "--seed", "yuoh13", "--gens", "Z,Z"],
+    ["generate", "--seed", "yuoh13", "--gens", "ZZ"],
     ["game", "new33", "--alice", "a", "--bob", "1"],
     ["game", "new33", "--alice", "0", "--bob", "1,x"],
     ["game", "new33", "--alice", ",", "--bob", "1"],
@@ -664,6 +667,28 @@ def test_a_failed_export_keeps_a_path_that_existed(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
     assert link.is_symlink() and target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "new33", "--export-cnf", "x.cnf"],
+    ["majorana", "new33", "--out", "x.csv"],
+    ["game", "new33", "--export-graph", "g.txt", "--export-legend", "l.txt"],
+], ids=lambda argv: argv[0])
+def test_a_failed_write_leaves_no_file_the_run_created(argv, tmp_path):
+    """Under a 1 KB file-size limit every export fails mid-write with EFBIG
+    (Python ignores SIGXFSZ): the run exits 2, prints nothing on stdout and
+    one line that names the file, and leaves no file behind."""
+    resource = pytest.importorskip("resource")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksverify.cli", *argv], cwd=tmp_path,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024)))
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.endswith(f": {argv[3]!r}\n")  # the first export is too large
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_game_rejects_one_file_as_graph_and_legend(tmp_path, capsys):

@@ -6,11 +6,13 @@ import operator
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from ksverify.catalog import builtin
+from ksverify.cli import write_files
 from ksverify.cyclotomic import omega
 from ksverify.game import (
     _bad_sets_for,
@@ -41,6 +43,10 @@ from oracles import (
     canonical_subsets_reference,
     close_under_products,
     fraction_adjacency,
+    fraction_conj,
+    fraction_coordinates,
+    fraction_embed,
+    fraction_product,
     pair_is_refutable,
     parse_dimacs_edges,
     scale_ray,
@@ -102,6 +108,46 @@ def test_contexts_and_events_recounted_from_fraction_inner_products():
     contexts = [(inst.basis_indices[x], inst.basis_indices[y]) for x in alice for y in bob]
     events = sum(1 for bx, by in contexts for a in bx for b in by if not adj[a] >> b & 1)
     assert (len(contexts), events) == (45, 333)
+
+
+def test_quantum_value_rechecked_from_fraction_inner_products():
+    """W_Q = 1 of the default split, in Fraction arithmetic with no Cyc: every
+    event probability |<a|b>|^2 / (3 |a|^2 |b|^2), each coordinate tuple at
+    the lcm conductor, sums to 1 over each of the 45 contexts and is 0 on
+    every losing event (an orthogonal pair of the oracle graph)."""
+    inst = builtin("new33")
+    rays = inst.graph.vertices
+    adj = fraction_adjacency(rays)
+    m = lcm(*(c.n for r in rays for c in r.components))
+    vectors = [[fraction_embed(c.n, m, fraction_coordinates(c)) for c in r.components]
+               for r in rays]
+
+    def inner(u, v):  # <u|v> = sum conj(u_j) * v_j
+        terms = [fraction_product(m, fraction_conj(m, a), b)
+                 for a, b in zip(vectors[u], vectors[v])]
+        return tuple(map(sum, zip(*terms)))
+
+    def squared_norm(u):  # |u|^2, a rational for conductor-3 rays
+        norm = inner(u, u)
+        assert not any(norm[1:])
+        return norm[0]
+
+    def probability(a, b):
+        amp = inner(a, b)
+        square = fraction_product(m, amp, fraction_conj(m, amp))
+        return tuple(x / (3 * squared_norm(a) * squared_norm(b)) for x in square)
+
+    one = fraction_embed(1, m, [Fraction(1)])
+    alice, bob = default_split(inst)
+    contexts = [(inst.basis_indices[x], inst.basis_indices[y]) for x in alice for y in bob]
+    assert len(contexts) == 45
+    won = []
+    for bx, by in contexts:
+        probs = {(a, b): probability(a, b) for a in bx for b in by}
+        assert tuple(map(sum, zip(*probs.values()))) == one
+        assert all(not any(p) for (a, b), p in probs.items() if adj[a] >> b & 1)
+        won += [p for (a, b), p in probs.items() if not adj[a] >> b & 1]
+    assert tuple(x / len(contexts) for x in map(sum, zip(*won))) == one  # W_Q = 1
 
 
 def test_classical_value_is_44_45(game45):
@@ -215,7 +261,7 @@ def test_twolevel_value_scores_strategies_as_generated():
 def test_exclusivity_graph_export_roundtrip(tmp_path, game45):
     path = tmp_path / "excl.dimacs"
     legend = tmp_path / "excl.legend"
-    export_exclusivity_graph(game45, str(path), str(legend))
+    write_files(export_exclusivity_graph(game45, str(path), str(legend)))
     text = path.read_text()
     assert text.startswith("p edge 333 ")
     adj = parse_dimacs_edges(text)
@@ -235,7 +281,7 @@ def test_exclusivity_graph_export_streams_its_lines(tmp_path, game45):
     path = tmp_path / "excl.dimacs"
     tracemalloc.start()
     try:
-        export_exclusivity_graph(game45, str(path), str(tmp_path / "excl.legend"))
+        write_files(export_exclusivity_graph(game45, str(path), str(tmp_path / "excl.legend")))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import csv
 import math
 
 from ksverify.catalog import builtin
+from ksverify.cli import write_files
 from ksverify.cyclotomic import omega
 from ksverify.majorana import export_majorana, majorana_points
 from ksverify.rays import Ray
@@ -75,7 +76,7 @@ def test_some_points_shared_between_rays():
 
 def test_export_csv(tmp_path):
     path = tmp_path / "maj.csv"
-    export_majorana(builtin("new33"), str(path))
+    write_files(export_majorana(builtin("new33"), str(path)))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")  # convention note
     rows = list(csv.DictReader(lines[1:]))
