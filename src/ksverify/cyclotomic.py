@@ -114,6 +114,13 @@ def _reduce(n: int, coeffs: list[int]) -> list[int]:
 # n hold O(n * phi(n)) integers, so an untrusted n is checked before them.
 MAX_CONDUCTOR = 360
 
+# The most decimal digits of a canonical ray's coefficient, checked by every
+# `rays.Ray` so that every Ray prints (str(int) refuses longer ints,
+# sys.int_info.default_max_str_digits), and of the denominator that
+# `from_triples` builds a value over, so parsing a set file stays cheap.
+MAX_COEFFICIENT_DIGITS = 4300
+COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
+
 
 def check_conductor(n: int) -> int:
     """n, if 1 <= n <= MAX_CONDUCTOR; otherwise ValueError."""
@@ -382,11 +389,18 @@ class Cyc:
 
     @staticmethod
     def from_triples(n: int, triples) -> "Cyc":
-        """sum(num / den * zeta_n^power) over int triples (power, num, den), den != 0."""
+        """sum(num / den * zeta_n^power) over int triples (power, num, den), den != 0;
+        ValueError, before any coefficient is built, when the denominators' lcm
+        has more than MAX_COEFFICIENT_DIGITS digits."""
         # n = 2m, m odd, is read at m: zeta_2m^p = (-1)^p * zeta_m^(p * (n // 4 + 1))
         m, k, s = (n // 2, n // 4 + 1, -1) if check_conductor(n) % 4 == 2 else (n, 1, 1)
         terms = [(p * k % m, s ** (p % 2) * num, den) for p, num, den in triples]
-        den = lcm(*(t[2] for t in terms))
+        den = 1
+        for t in terms:
+            den = lcm(den, t[2])
+            if den >= COEFFICIENT_BOUND:
+                raise ValueError(f"the denominators' lcm has more than "
+                                 f"{MAX_COEFFICIENT_DIGITS} digits")
         if not den:
             raise ZeroDivisionError("a triple has denominator 0")
         coeffs = [0] * m

@@ -17,13 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import Cyc
-
-# The most decimal digits of a canonical ray's coefficient, checked by every
-# Ray: str(int) refuses longer ints (sys.int_info.default_max_str_digits), so
-# every Ray prints.  A value built from rays may not; `clip` quotes it.
-MAX_COEFFICIENT_DIGITS = 4300
-_COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
+from .cyclotomic import COEFFICIENT_BOUND, MAX_COEFFICIENT_DIGITS, Cyc
 
 
 def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
@@ -62,7 +56,7 @@ class Ray:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "canonical", _canonical_triple(comps))
         if max(abs(x.numerator) for c in self.canonical
-               for x in c.minimal_form()[1]) >= _COEFFICIENT_BOUND:
+               for x in c.minimal_form()[1]) >= COEFFICIENT_BOUND:
             raise ValueError(f"a canonical ray coefficient has more than "
                              f"{MAX_COEFFICIENT_DIGITS} digits")
         object.__setattr__(self, "_hash", hash(self.canonical))

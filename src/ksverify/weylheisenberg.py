@@ -64,28 +64,21 @@ def is_sic_povm(rays) -> SicReport:
         failures.append(f"expected 9 distinct rays, got {len(rays)}")
     norms = [inner(r, r) for r in rays]
     # |<u|v>|^2 is symmetric: each unordered pair's overlap fills both cells
-    overlaps = {}
+    table = [[None] * len(rays) for _ in rays]
     for i, u in enumerate(rays):
         for j in range(i, len(rays)):
             amp = inner(u, rays[j])
             overlap = (amp * amp.conj()) / (norms[i] * norms[j])
-            overlaps[i, j] = overlaps[j, i] = (
-                overlap.as_fraction() if overlap.is_rational() else None)
-    table = []
+            table[i][j] = table[j][i] = overlap.as_fraction() if overlap.is_rational() else None
     for i, u in enumerate(rays):
-        row = []
         for j, v in enumerate(rays):
-            value = overlaps[i, j]
-            if value is None:
+            if table[i][j] is None:
                 failures.append(f"overlap of {clip(u)} and {clip(v)} is irrational")
-                row.append(Fraction(0))
-                continue
-            row.append(value)
-            if i != j and value != Fraction(1, 4):
+                table[i][j] = Fraction(0)
+            elif i != j and table[i][j] != Fraction(1, 4):
                 failures.append(f"normalized overlap^2 of {clip(u)} and {clip(v)} "
-                                f"is {clip(value)}, want 1/4")
-        table.append(tuple(row))
-    return SicReport(not failures, rays, tuple(table), tuple(failures))
+                                f"is {clip(table[i][j])}, want 1/4")
+    return SicReport(not failures, rays, tuple(map(tuple, table)), tuple(failures))
 
 
 def generate_report(seed: str, gens: str, print_rays: bool = False) -> tuple[dict, list[str], list]:

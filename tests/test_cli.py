@@ -728,6 +728,20 @@ def test_a_canonical_coefficient_beyond_the_print_limit_is_bad_input(argv, tmp_p
     assert err.endswith("a canonical ray coefficient has more than 4300 digits\n")
 
 
+def test_a_component_whose_denominators_have_a_long_lcm_is_bad_input(tmp_path, capsys):
+    """The lcm of 10^2499 + 1 and 10^2499 + 3 has 4,999 digits: the ray is
+    rejected, by its index, before any coefficient is built over it."""
+    d = 10**2499
+    path = tmp_path / "lcm.json"
+    path.write_text(set_file(rays=E123[:2] + [[[[0, 1, d + 1], [0, 1, d + 3]], [[0, 1, 1]], []]]))
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ray 2 ")
+    assert err.endswith("the denominators' lcm has more than 4300 digits\n")
+
+
 def test_a_canonical_coefficient_at_the_print_limit_prints(tmp_path, capsys):
     # the canonical form of (N, 1, 0) is (N, 1, 0): N has 4,300 digits
     n = 10**4300 - 1

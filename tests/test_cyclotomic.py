@@ -14,6 +14,7 @@ from hypothesis import example, given, strategies as st
 
 from ksverify import cyclotomic
 from ksverify.cyclotomic import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_CONDUCTOR,
     Cyc,
     _phi,
@@ -258,6 +259,22 @@ def test_coefficients_must_be_exact():
         Cyc.from_triples(3, [[0, 1, 0]])
     mixed = Cyc.from_triples(3, [[1, 1, 2], [1, 1, 3], [0, 1, -4]])
     assert mixed == W * Fraction(5, 6) - Fraction(1, 4)
+
+
+def test_triples_bound_the_lcm_of_their_denominators():
+    """The denominators' lcm may have MAX_COEFFICIENT_DIGITS digits, not one
+    more; a 0 denominator still divides by zero."""
+    assert MAX_COEFFICIENT_DIGITS == 4300
+    top = 10**MAX_COEFFICIENT_DIGITS
+    assert Cyc.from_triples(1, [[0, 1, top - 1], [0, 1, top - 1]]) == Fraction(2, top - 1)
+    repunit = (top - 1) // 9  # 4,300 ones, prime to 9: lcm(9, repunit) = top - 1
+    assert Cyc.from_triples(1, [[0, 1, 9], [0, 1, repunit]]) == Fraction(repunit + 9, top - 1)
+    for triples in ([[0, 1, top]], [[0, 1, 2], [0, 1, top // 2 + 1]],
+                    [[0, 1, 10**2499 + 1], [1, 1, 10**2499 + 3], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="denominators' lcm has more than 4300 digits"):
+            Cyc.from_triples(3, triples)
+    with pytest.raises(ZeroDivisionError):
+        Cyc.from_triples(3, [[0, 1, 10**2499 + 1], [0, 1, 0]])
 
 
 def reference(c: Cyc) -> tuple[Fraction, ...]:

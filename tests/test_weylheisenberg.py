@@ -1,6 +1,7 @@
 """Weyl-Heisenberg actions, orbit closures, SIC-POVM checks."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,14 @@ from ksverify.cyclotomic import omega
 from ksverify.rays import Ray, inner, is_orthogonal
 from ksverify.weylheisenberg import apply, is_sic_povm, orbit_closure
 
-from oracles import scale_ray
+from oracles import (
+    fraction_conj,
+    fraction_coordinates,
+    fraction_embed,
+    fraction_power_table,
+    fraction_product,
+    scale_ray,
+)
 
 W = omega()
 
@@ -116,3 +124,52 @@ def test_exact_overlap_identity_on_sic():
                 lhs = 4 * (amp * amp.conj())
                 rhs = inner(u, u) * inner(v, v)
                 assert lhs == rhs
+
+
+def test_sic_povms_rechecked_in_fraction_arithmetic():
+    """The paper's two SIC-POVMs in Fraction arithmetic at conductor 3, with
+    no Cyc operation: the {X, Z} orbits of (1,1,0) and (1,-1,0), X the cyclic
+    shift and Z the phases 1, w, w^2, each hold 9 rays (two vectors are one ray
+    when every 2x2 minor is 0) with 4 |<u|v>|^2 = |u|^2 |v|^2 for every pair,
+    share no ray, and equal orbit_closure's rays up to scalars."""
+    powers = fraction_power_table(3)  # w^0, w^1, w^2 as coordinate pairs
+
+    def same_ray(u, v):
+        return all(fraction_product(3, u[i], v[j]) == fraction_product(3, u[j], v[i])
+                   for i, j in itertools.combinations(range(3), 2))
+
+    def inner3(u, v):  # <u|v> = sum conj(u_j) * v_j
+        terms = [fraction_product(3, fraction_conj(3, a), b) for a, b in zip(u, v)]
+        return tuple(map(sum, zip(*terms)))
+
+    def orbit(seed):
+        rays, frontier = [seed], [seed]
+        while frontier:
+            nxt = []
+            for a, b, c in frontier:
+                for image in ((c, a, b), tuple(fraction_product(3, x, powers[k])
+                                               for k, x in enumerate((a, b, c)))):
+                    if not any(same_ray(image, r) for r in rays):
+                        rays.append(image)
+                        nxt.append(image)
+            frontier = nxt
+        return rays
+
+    orbits = []
+    for seed in ((1, 1, 0), (1, -1, 0)):
+        rays = orbit(tuple((Fraction(k), Fraction(0)) for k in seed))
+        assert len(rays) == 9
+        for u, v in itertools.combinations(rays, 2):
+            amp = inner3(u, v)
+            lhs = fraction_product(3, amp, fraction_conj(3, amp))
+            rhs = fraction_product(3, inner3(u, u), inner3(v, v))
+            assert tuple(4 * x for x in lhs) == rhs
+        closure = orbit_closure([Ray(seed)], [X, Z])
+        assert len(closure) == 9
+        for r in closure:
+            assert all(3 % c.n == 0 for c in r.components)
+            vector = tuple(fraction_embed(c.n, 3, fraction_coordinates(c)) for c in r.components)
+            assert sum(same_ray(vector, u) for u in rays) == 1
+        orbits.append(rays)
+    plus, minus = orbits
+    assert not any(same_ray(u, v) for u in plus for v in minus)
