@@ -4,10 +4,13 @@
 `table1_report` is the `table1` pipeline: one summary row per set.
 
 The 33-ray record set and its Yu-Oh subset are constructed in code from
-their 14 and 4 bases.  Peres-33 and Conway-Kochen-31 are transcriptions
-stored as JSON data files with provenance strings; Schuette-33 and
-Penrose-33 are slots with no data.  A set loads only if its file is
-present, so a missing file degrades politely.
+their 14 and 4 bases, and Peres-33 and Conway-Kochen-31 from their ray
+lists, each with a provenance note.  Schuette-33 and Penrose-33 are slots
+with no construction: each loads only if its data file is present, so a
+missing file degrades politely.  The slot for Schuette-33 stays empty
+because the only ray set with components in {0,+-1,+-2} that matches its
+published bases, symmetry, orbits and uncolorability has minimal split
+7-13, not the published 8-9.
 
 File format (UTF-8 JSON):
 
@@ -31,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .colorability import KSInstance, find_ks_assignment
-from .cyclotomic import Cyc, check_conductor, omega
+from .cyclotomic import Cyc, check_conductor, omega, sqrt2
 from .game import check_budget, minimal_distribution_search
 from .rays import Ray, clip, validate_basis
 
@@ -39,6 +42,21 @@ X3_CORRECTION_NOTE = (
     "basis x=3: third vector corrected to the unique orthogonal completion "
     "(1,-w^2,w) of (1,-w,w^2) and (1,-1,1); the commonly printed third "
     "vector (w^2,w,1) is not orthogonal to them (inner products -2 and -2w)"
+)
+PERES33_NOTE = (
+    "provenance: A. Peres, J. Phys. A 24, L175 (1991): the 33 rays whose squared "
+    "direction cosines are permutations of (0,0,1), (0,1/2,1/2), "
+    "(0,1/3,2/3), (1/4,1/4,1/2); stored unnormalized with "
+    "sqrt(2) = z24^3 + z24^21"
+)
+CONWAY31_NOTE = (
+    "provenance: J. H. Conway and S. Kochen, as presented in A. Peres, Quantum "
+    "Theory: Concepts and Methods (Kluwer, 1993), p. 114: 31 rays "
+    "with components in {0,+-1,+-2}. Coordinates fixed (up to a "
+    "signed permutation of axes) as the unique such set containing "
+    "the 13-ray minimal SI-C set and matching the published "
+    "invariants: 17 complete bases, automorphism group of order 4, "
+    "10 vertex orbits, no KS assignment"
 )
 
 
@@ -89,16 +107,50 @@ def yuoh13_rays() -> list[Ray]:
     ]
 
 
+def peres33_rays() -> list[Ray]:
+    """Peres's 33 rays: the signed permutations of (0,0,1), (0,1,1), (0,1,s)
+    and (1,1,s), s = sqrt(2), one per ray."""
+    s = sqrt2()
+    return [
+        _ray(1, 0, 0), _ray(0, 1, 0), _ray(0, 0, 1),
+        _ray(0, 1, 1), _ray(0, 1, -1), _ray(1, 0, 1),
+        _ray(1, 0, -1), _ray(1, 1, 0), _ray(1, -1, 0),
+        _ray(0, 1, s), _ray(0, 1, -s), _ray(0, s, 1), _ray(0, s, -1),
+        _ray(1, 0, s), _ray(1, 0, -s), _ray(s, 0, 1), _ray(s, 0, -1),
+        _ray(1, s, 0), _ray(1, -s, 0), _ray(s, 1, 0), _ray(s, -1, 0),
+        _ray(1, 1, s), _ray(1, 1, -s), _ray(1, -1, s), _ray(1, -1, -s),
+        _ray(1, s, 1), _ray(1, s, -1), _ray(1, -s, 1), _ray(1, -s, -1),
+        _ray(s, 1, 1), _ray(s, 1, -1), _ray(s, -1, 1), _ray(s, -1, -1),
+    ]
+
+
+def conway31_rays() -> list[Ray]:
+    """The 31 Conway-Kochen rays, components in {0, +-1, +-2}."""
+    return [
+        _ray(0, 0, 1), _ray(0, 1, 0), _ray(1, 0, 0),
+        _ray(0, 1, -1), _ray(0, 1, 1), _ray(1, 0, -1),
+        _ray(1, 0, 1), _ray(1, -1, 0), _ray(1, 1, 0),
+        _ray(1, -1, -1), _ray(1, -1, 1), _ray(1, 1, -1), _ray(1, 1, 1),
+        _ray(0, 1, -2), _ray(0, 1, 2), _ray(0, 2, -1), _ray(0, 2, 1),
+        _ray(1, -2, 0), _ray(1, 0, -2), _ray(1, 0, 2),
+        _ray(2, 0, -1), _ray(2, 0, 1), _ray(2, 1, 0),
+        _ray(1, -1, -2), _ray(1, -1, 2), _ray(1, -2, -1), _ray(1, -2, 1),
+        _ray(1, 1, -2), _ray(1, 1, 2), _ray(2, 1, -1), _ray(2, 1, 1),
+    ]
+
+
 # Sets built in code: their ray list (new33's basis by basis, so repeated)
 # and the notes of their instance.
 _CODE_BUILT = {
     "new33": (lambda: [r for basis in new33_bases() for r in basis], (X3_CORRECTION_NOTE,)),
     "yuoh13": (yuoh13_rays, ()),
+    "peres33": (peres33_rays, (PERES33_NOTE,)),
+    "conway31": (conway31_rays, (CONWAY31_NOTE,)),
 }
 
-# Every other shipped name is read from <name>.json in $KSVERIFY_DATA_DIR,
-# if set, else in the package's data/.
-BUILTIN_NAMES = (*_CODE_BUILT, "peres33", "conway31", "schuette33", "penrose33")
+# The two slots have no construction: each is read from <name>.json in
+# $KSVERIFY_DATA_DIR, if set, else in the package's data/.
+BUILTIN_NAMES = (*_CODE_BUILT, "schuette33", "penrose33")
 
 # Published reference values checked by --expect-paper, keyed like the facts
 # each subcommand returns: {set name: {key: value}}.
@@ -142,8 +194,9 @@ def builtin_rays(name: str) -> list[Ray]:
 def builtin(name: str) -> KSInstance:
     """A named shipped instance, built or read afresh on each call.
 
-    File-backed names need their data file, looked up in the directory
-    that KSVERIFY_DATA_DIR names at the time of the call.
+    Only the two slots, schuette33 and penrose33, read a file: their data
+    file, looked up in the directory that KSVERIFY_DATA_DIR names at the
+    time of the call.
     """
     if name in _CODE_BUILT:
         rays, notes = _CODE_BUILT[name]

@@ -2,9 +2,10 @@
 
 Each test prints one PASS line so a `pytest -s tests/test_acceptance.py`
 run reads as a checklist.  Everything is exact except the Majorana sphere
-coordinates, whose tolerances are stated inline.  The legacy-set rows,
-including the Peres-33 7-9 and Conway-Kochen-31 8-9 minimal splits, run
-only when their data files are present.
+coordinates, whose tolerances are stated inline.  The legacy-set rows
+include the Peres-33 7-9 and Conway-Kochen-31 8-9 minimal splits; both
+sets are built in code, so only the Schuette-33 row, a slot that runs
+when its data file is present, can skip.
 """
 
 import time
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksverify.catalog import builtin
+from ksverify.catalog import MissingDataError, builtin
 from ksverify.colorability import (
     KSInstance,
     find_ks_assignment,
@@ -172,10 +173,7 @@ MINIMAL_SPLITS = {
 
 @pytest.mark.parametrize("name, split", [("peres33", "7-9"), ("conway31", "8-9")])
 def test_criterion_07_legacy_split(name, split):
-    try:
-        inst = builtin(name)
-    except FileNotFoundError:
-        pytest.skip(f"{name} data file not present")
+    inst = builtin(name)
     result = minimal_distribution_search(inst, budget_seconds=3600.0)
     assert result.complete and result.split() == split
     assert tuple(result) == MINIMAL_SPLITS[name]
@@ -218,7 +216,8 @@ LEGACY_EXPECTED = {
 def test_criterion_10_legacy_rows(name):
     try:
         inst = builtin(name)
-    except FileNotFoundError:
+    except MissingDataError:
+        assert name == "schuette33"  # the one slot here; the others are built in code
         pytest.skip(f"{name} data file not present")
     rays, bases, orbit_count, order = LEGACY_EXPECTED[name]
     assert inst.graph.n == rays

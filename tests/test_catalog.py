@@ -19,6 +19,7 @@ from ksverify.catalog import (
     load_set,
     new33_bases,
     save_set,
+    serialize,
     yuoh13_rays,
 )
 from ksverify.colorability import KSInstance, find_ks_assignment
@@ -107,10 +108,39 @@ def test_penrose_slot_is_polite(tmp_path, monkeypatch):
 
 
 def test_builtin_reads_the_data_dir_on_each_call(tmp_path, monkeypatch):
-    assert builtin("peres33").graph.n == 33
+    save_set(KSInstance("penrose33", builtin_rays("peres33")), tmp_path / "penrose33.json")
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
+    assert builtin("penrose33").graph.n == 33
+    monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path / "empty"))
     with pytest.raises(MissingDataError):
-        builtin("peres33")
+        builtin("penrose33")
+
+
+def test_legacy_sets_are_built_without_a_data_file(tmp_path, monkeypatch):
+    import ksverify.catalog as cat
+
+    monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
+    monkeypatch.setattr(cat, "load_set", lambda path: pytest.fail(f"read {path}"))
+    assert builtin("peres33").graph.n == 33
+    assert builtin("conway31").graph.n == 31
+
+
+@pytest.mark.parametrize("name", ["peres33", "conway31"])
+def test_data_files_are_the_code_built_sets(name):
+    """bench/setfiles.py reads the two legacy data files, so each must stay
+    byte for byte what save_set writes for the set that catalog builds."""
+    import ksverify.catalog as cat
+
+    path = Path(cat.__file__).parent / "data" / f"{name}.json"
+    built = builtin(name)
+    provenance = built.notes[0].removeprefix("provenance: ")
+    doc = serialize(KSInstance(name, builtin_rays(name)), provenance)
+    assert (json.dumps(doc, indent=1) + "\n").encode() == path.read_bytes()
+    loaded = load_set(path)
+    assert loaded.graph.vertices == built.graph.vertices
+    assert loaded.graph.adj == built.graph.adj
+    assert loaded.basis_indices == built.basis_indices
+    assert loaded.notes == built.notes
 
 
 def test_instance_of_a_shipped_name_is_its_builtin():
@@ -144,8 +174,8 @@ def test_instance_of_an_unknown_name_is_missing_data():
 def test_instance_of_a_file_backed_name_needs_its_data_file(tmp_path, monkeypatch):
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
     with pytest.raises(MissingDataError, match="expected " + re.escape(
-            str(tmp_path / "peres33.json")) + ";"):
-        instance("peres33")
+            str(tmp_path / "schuette33.json")) + ";"):
+        instance("schuette33")
 
 
 def test_roundtrip_serialization(tmp_path):

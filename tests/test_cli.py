@@ -369,9 +369,9 @@ def test_table1_searches_the_set_named_new33(tmp_path, capsys):
 
 def test_table1_skips_missing_politely(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
-    code, out = run(capsys, "table1", "--sets", "new33,peres33")
+    code, out = run(capsys, "table1", "--sets", "new33,penrose33")
     assert code == EXIT_OK
-    assert "skipped peres33" in out
+    assert "skipped penrose33" in out
     assert "new33" in out
 
 
@@ -428,8 +428,9 @@ def test_summary_table_renders_deterministically():
 
 def test_missing_data_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KSVERIFY_DATA_DIR", str(tmp_path))
-    code = main(["verify", "peres33"])
+    code = main(["verify", "schuette33"])
     assert code == EXIT_MISSING_DATA
+    assert f"expected {tmp_path / 'schuette33.json'};" in capsys.readouterr().err
 
 
 def test_unknown_set_is_missing_data(capsys):
