@@ -96,39 +96,40 @@ def close(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
             return before
 
 
-def _search_tree(adj, bases, ones: int = 0, zeros: int = 0):
-    """Yield one item per node of the basis-branching search, in order.
+def find_ks_assignment(inst: KSInstance) -> SearchResult:
+    """First valid assignment in branching order, or exhaustive UNSAT.
 
     A node branches on the first basis without a 1, giving each member not
-    already 0 the value 1 in turn, one child per try.  A leaf (every basis
-    carries a 1) yields its (ones, zeros) pair; every other node, a try
-    that conflicts included, yields None.
+    already 0 the value 1 in turn, one child per try; `nodes` counts the
+    tries, those that conflict included.  The depth-first search keeps an
+    explicit stack of (ones, zeros, members not yet tried), so the number
+    of bases is not bounded by the recursion limit.
     """
-    open_basis = next((b for b in bases if not b & ones), None)
-    if open_basis is None:
-        yield ones, zeros
-        return
-    yield None
-    for v in bits(open_basis & ~zeros):
-        child = close(adj, bases, ones | 1 << v, zeros)
-        if child is None:
-            yield None
-        else:
-            yield from _search_tree(adj, bases, *child)
-
-
-def find_ks_assignment(inst: KSInstance) -> SearchResult:
-    """First valid assignment in branching order, or exhaustive UNSAT."""
+    adj = inst.graph.adj
     bases = [sum(1 << t for t in triple) for triple in inst.basis_indices]
-    # item k of the tree is the k-th node tried after the root
-    for nodes, leaf in enumerate(_search_tree(inst.graph.adj, bases)):
-        if leaf is not None:
+    ones = zeros = nodes = 0
+    stack = []
+    while True:
+        open_basis = next((b for b in bases if not b & ones), None)
+        if open_basis is None:
             # all bases carry a 1; free rays get 0 (edges stay satisfied)
-            problems = verify_assignment(inst, leaf[0])
+            problems = verify_assignment(inst, ones)
             if problems:
                 raise AssertionError(f"search produced an invalid assignment: {problems}")
-            return SearchResult(True, leaf[0], nodes)
-    return SearchResult(False, None, nodes)
+            return SearchResult(True, ones, nodes)
+        stack.append((ones, zeros, bits(open_basis & ~zeros)))
+        child = None
+        while child is None:  # the next try that closes without a conflict
+            if not stack:
+                return SearchResult(False, None, nodes)
+            ones, zeros, untried = stack[-1]
+            v = next(untried, None)
+            if v is None:
+                stack.pop()
+            else:
+                nodes += 1
+                child = close(adj, bases, ones | 1 << v, zeros)
+        ones, zeros = child
 
 
 def to_dimacs_cnf(inst: KSInstance) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .colorability import KSInstance
@@ -108,23 +108,19 @@ def winning_events(g: Game) -> list[tuple[int, int, int, int]]:
 
 
 def exclusivity_adjacency(events) -> list[int]:
-    """Two events conflict iff they share a party's input with different output."""
-    n = len(events)
-    x_mask: dict[int, int] = {}
-    xa_mask: dict[tuple[int, int], int] = {}
-    y_mask: dict[int, int] = {}
-    yb_mask: dict[tuple[int, int], int] = {}
+    """Two events conflict iff they share a party's input with different output.
+
+    Slot a of `alice[x]` holds the events (x, ., a, .), and `bob[y]` works
+    the same way.  An event's row is the other two slots of its Alice input
+    and of its Bob input; it lies in its own slots, so it has no self-loop.
+    """
+    alice, bob = defaultdict(lambda: [0, 0, 0]), defaultdict(lambda: [0, 0, 0])
     for i, (x, y, a, b) in enumerate(events):
-        bit = 1 << i
-        x_mask[x] = x_mask.get(x, 0) | bit
-        xa_mask[(x, a)] = xa_mask.get((x, a), 0) | bit
-        y_mask[y] = y_mask.get(y, 0) | bit
-        yb_mask[(y, b)] = yb_mask.get((y, b), 0) | bit
-    adj = []
-    for i, (x, y, a, b) in enumerate(events):
-        conflict = (x_mask[x] & ~xa_mask[(x, a)]) | (y_mask[y] & ~yb_mask[(y, b)])
-        adj.append(conflict & ~(1 << i))
-    return adj
+        alice[x][a] |= 1 << i
+        bob[y][b] |= 1 << i
+    # the three slots are disjoint, so their sum less one slot is the other two
+    return [(sum(alice[x]) - alice[x][a]) | (sum(bob[y]) - bob[y][b])
+            for x, y, a, b in events]
 
 
 class Strategy(namedtuple("Strategy", "alice bob")):

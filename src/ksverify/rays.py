@@ -125,8 +125,10 @@ def validate_basis(rays) -> list[BasisViolation]:
     return violations
 
 
+# a `*` only joins a coefficient to a root: '2*w', but not '2*', '*w' or '-*w'
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?\d+(?:/\d+)?|[+-])?\s*\*?\s*(?:(?P<sym>w|z(?P<n>\d+))(?:\^(?P<k>\d+))?)?$"
+    r"^(?P<coef>[+-]?\d+(?:/\d+)?|[+-])?(?:(?<=\d)\*(?=[wz]))?"
+    r"(?:(?P<sym>w|z(?P<n>\d+))(?:\^(?P<k>\d+))?)?$"
 )
 
 

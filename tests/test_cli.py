@@ -595,6 +595,7 @@ BAD_FILES = {
     ["sic", "--seed", "(1,z361,0)"],
     ["sic", "--seed", "(1,1/0,0)"],
     ["sic", "--seed", "(1,1)"],
+    ["sic", "--seed", "(1,2*,0)"],
     ["generate", "--seed", "(1,0,0)", "--gens", "Q"],
     ["generate", "--seed", "yuoh13", "--gens", ""],
     ["generate", "--seed", "yuoh13", "--gens", ","],

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,6 +71,16 @@ def test_new33_unsat_and_yuoh_sat():
     assert find_ks_assignment(builtin("peres33")).nodes == 33
     assert find_ks_assignment(builtin("conway31")).nodes == 13
     assert found_mask(builtin("yuoh13")) == 37
+
+
+def test_search_has_no_depth_limit():
+    """1,200 disjoint bases, given as masks only, are 1,200 search levels:
+    each is decided by its first member, one try per level."""
+    n = 1200
+    triples = [(3 * k, 3 * k + 1, 3 * k + 2) for k in range(n)]
+    adj = [sum(1 << u for u in t) & ~(1 << v) for t in triples for v in t]
+    inst = SimpleNamespace(graph=SimpleNamespace(adj=adj), basis_indices=triples)
+    assert find_ks_assignment(inst) == (True, sum(1 << 3 * k for k in range(n)), n)
 
 
 def test_yuoh_h_ray_property():

@@ -289,14 +289,21 @@ def test_exclusivity_graph_export_streams_its_lines(tmp_path, game45):
 
 
 def test_exclusivity_edges_are_strategy_conflicts(game45):
-    events = winning_events(game45)
-    adj = exclusivity_adjacency(events)
-    for i in range(0, len(events), 37):
-        for j in range(i + 1, min(i + 40, len(events))):
-            xi, yi, ai, bi = events[i]
-            xj, yj, aj, bj = events[j]
-            conflict = (xi == xj and ai != aj) or (yi == yj and bi != bj)
-            assert bool(adj[i] >> j & 1) == conflict
+    """Every ordered pair of events, a row against itself included, on new33's
+    default game and a 7-9 split of peres33: an edge iff one party's input
+    gets two different answers."""
+    bases = basis_rays(builtin("peres33"))
+    peres_game = build_game(bases[:7], bases[7:16])
+    for g in (game45, peres_game):
+        events = winning_events(g)
+        adj = exclusivity_adjacency(events)
+        assert len(adj) == len(events)
+        for i, (xi, yi, ai, bi) in enumerate(events):
+            assert adj[i] >> len(events) == 0
+            assert not adj[i] >> i & 1  # no self-loop
+            for j, (xj, yj, aj, bj) in enumerate(events):
+                conflict = (xi == xj and ai != aj) or (yi == yj and bi != bj)
+                assert bool(adj[i] >> j & 1) == conflict, (i, j)
 
 
 def test_minimal_distribution_for_new33():

@@ -152,7 +152,8 @@ def test_parse_ray_literals():
         parse_ray("(1,2)")
 
 
-@pytest.mark.parametrize("text", ["--1", "+-w", "1--w", "1/0", "w+0/0", "1+"])
+# a `*` with nothing on one side is not read as if it were absent
+@pytest.mark.parametrize("text", ["--1", "+-w", "1--w", "1/0", "w+0/0", "1+", "2*", "*w", "1+*w"])
 def test_malformed_component_is_rejected(text):
     with pytest.raises(ValueError):
         _parse_component(text)
