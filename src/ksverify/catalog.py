@@ -33,9 +33,10 @@ import os
 from fractions import Fraction
 from math import lcm
 
-from .colorability import KSInstance, find_ks_assignment
+from .colorability import KSInstance, verify_report
 from .cyclotomic import Cyc, check_conductor, omega, sqrt2
-from .game import check_budget, minimal_distribution_search
+from .game import check_budget, minimal_report
+from .orthograph import symmetry_report
 from .rays import Ray, clip, validate_basis
 
 X3_CORRECTION_NOTE = (
@@ -363,7 +364,8 @@ def table1_report(sets: str | None, minimal: str, budget: float) -> tuple[dict, 
     (default: every shipped set but yuoh13), with the split search run on
     the sets that `minimal` ("new33", "all" or "none") names.
 
-    The rows, keyed by set name, are both the printed table and the facts.
+    A row, keyed by set name, is the set's `verify`, `symmetry` and (if
+    searched) `minimal` facts: both a line of the table and the facts.
     A name that resolves to nothing fails the table; a shipped set without
     its file gets a `skipped` line.
     """
@@ -379,14 +381,10 @@ def table1_report(sets: str | None, minimal: str, budget: float) -> tuple[dict, 
             continue
         if inst.name in facts:
             raise ValueError(f"--sets gives two sets named {inst.name!r}")
-        report = inst.graph.group
-        satisfiable = find_ks_assignment(inst).satisfiable
-        row = facts[inst.name] = {
-            "rays": inst.graph.n, "bases": len(inst.basis_indices),
-            "orbit_count": len(report.orbits), "aut_order": report.order,
-            "ks": "SAT" if satisfiable else "UNSAT"}
+        row = {**verify_report(inst)[0][inst.name], **symmetry_report(inst)[0][inst.name]}
         if minimal == "all" or (minimal == "new33" and inst.name == "new33"):
-            res = minimal_distribution_search(inst, budget_seconds=budget)
-            row["minimal_split"] = res.split() if res.complete else "incomplete"
+            found = minimal_report(inst, budget)[0]
+            row.update(found[inst.name] if found else {"minimal_split": "incomplete"})
+        facts[inst.name] = row
         notes += [f"note ({inst.name}): {note}" for note in inst.notes]
     return facts, summary_table(facts.items()).splitlines() + notes + skipped, []

@@ -72,10 +72,10 @@ def close(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
     """The unit-propagation fixpoint of (ones, zeros), or None on a conflict.
 
     Bit v of `ones` (`zeros`) gives ray v the value 1 (0); `adj` holds the
-    orthogonality rows, `bases` the basis bitmasks.  A 1 puts its row into
-    zeros, a basis with one 1 puts its other members into zeros, and a
-    basis with one member outside zeros puts that member into ones.  Two
-    1s in a basis, a basis of 0s or a ray in both masks is a conflict.
+    orthogonality rows, `bases` the basis bitmasks, each a triangle of
+    `adj`.  A 1 puts its row, basis mates included, into zeros, and a basis
+    with one member outside zeros puts that member into ones.  A basis of
+    0s or a ray in both masks (two 1s in a basis among them) is a conflict.
     Rules only add bits, so the order they fire in does not matter.
     """
     while True:
@@ -83,12 +83,10 @@ def close(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
         for v in bits(ones):
             zeros |= adj[v]
         for basis in bases:
-            one, free = basis & ones, basis & ~zeros
-            if one & (one - 1) or not free:
+            free = basis & ~zeros
+            if not free:
                 return None
-            if one:
-                zeros |= basis ^ one
-            elif not free & (free - 1):
+            if not free & (free - 1):
                 ones |= free
         if ones & zeros:
             return None

@@ -239,12 +239,12 @@ def export_exclusivity_graph(g: Game, path: str, legend_path: str | None = None)
 
 
 def game_report(inst: KSInstance, split=None, graph_path: str | None = None,
-                legend_path: str | None = None) -> tuple[dict | None, list[str], list]:
+                legend_path: str | None = None) -> tuple[dict, list[str], list]:
     """The `game` pipeline on the bases `split` = (Alice's, Bob's) of `inst`,
     default_split's by default: contexts, events, both classical values and
     the quantum value, and the exclusivity graph's export files if
-    `graph_path` is given.  The facts are None when the two classical values
-    disagree.
+    `graph_path` is given.  Two classical values that disagree raise
+    AssertionError.
 
     An explicit split is keyed apart, so the default-split references skip it.
     """
@@ -266,6 +266,9 @@ def game_report(inst: KSInstance, split=None, graph_path: str | None = None,
     total = game.total_winning_events()
     value = classical_value(game)
     cross = classical_value_twolevel(game)
+    if value.classical != cross:
+        raise AssertionError(f"classical value {value.classical} from the exclusivity "
+                             f"graph, {cross} from strategy enumeration")
     quantum = quantum_value_maxent(game)
     lines += [
         f"total winning events: {total}",
@@ -278,9 +281,6 @@ def game_report(inst: KSInstance, split=None, graph_path: str | None = None,
     if files:
         lines.append(f"exclusivity graph written to {graph_path}" + (
             f" with legend {legend_path}" if legend_path is not None else ""))
-    if value.classical != cross:
-        lines.append("INTERNAL MISMATCH: exclusivity-graph and strategy enumeration disagree")
-        return None, lines, files
     key = inst.name
     if split is not None:
         key += f"[{','.join(map(str, ax))}|{','.join(map(str, bx))}]"

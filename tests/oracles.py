@@ -14,7 +14,8 @@ from the graph, two non-monomial matrices applied to the shipped rays for
 verdicts that must not change, and per-coefficient Fraction arithmetic
 with per-call Gaussian elimination for cyclotomic numbers and for the
 inner products of an orthogonality graph, over its own Phi_n (long
-division of x^n - 1) and phi(n) (a count of the units mod n).
+division of x^n - 1) and phi(n) (a count of the units mod n); that graph's
+edges and triangles give the oracle's pair and basis counts and KS CNF.
 """
 
 from __future__ import annotations
@@ -104,30 +105,56 @@ def basis_rays(inst) -> list[tuple]:
     return [tuple(vertices[v] for v in triple) for triple in inst.basis_indices]
 
 
-def count_orthogonal_pairs(rays) -> int:
-    from ksverify.rays import is_orthogonal
+def oracle_triangles(adj: list[int]) -> list[tuple[int, int, int]]:
+    """Every triple of pairwise adjacent vertices, in lexicographic order."""
+    return [(i, j, k) for i, j, k in combinations(range(len(adj)), 3)
+            if adj[i] >> j & 1 and adj[i] >> k & 1 and adj[j] >> k & 1]
 
-    rays = list(rays)
-    return sum(
-        1
-        for i, j in combinations(range(len(rays)), 2)
-        if is_orthogonal(rays[i], rays[j])
-    )
+
+def count_orthogonal_pairs(rays) -> int:
+    """The edges of `fraction_adjacency(rays)`."""
+    return sum(row.bit_count() for row in fraction_adjacency(rays)) // 2
 
 
 def triangles_direct(rays) -> int:
-    from ksverify.rays import is_orthogonal
+    """The triangles of `fraction_adjacency(rays)`: the complete bases."""
+    return len(oracle_triangles(fraction_adjacency(rays)))
 
-    rays = list(rays)
-    count = 0
-    for i, j, k in combinations(range(len(rays)), 3):
-        if (
-            is_orthogonal(rays[i], rays[j])
-            and is_orthogonal(rays[i], rays[k])
-            and is_orthogonal(rays[j], rays[k])
-        ):
-            count += 1
-    return count
+
+def ks_cnf(rays) -> tuple[int, list[list[int]]]:
+    """The KS constraints on `rays` as (variables, clauses), variable i + 1
+    true iff ray i gets 1: a negative pair per edge and a positive triple
+    per triangle of `fraction_adjacency(rays)`."""
+    adj = fraction_adjacency(rays)
+    n = len(adj)
+    pairs = [[-i - 1, -j - 1] for i, j in combinations(range(n), 2) if adj[i] >> j & 1]
+    return n, pairs + [[i + 1, j + 1, k + 1] for i, j, k in oracle_triangles(adj)]
+
+
+def ks_close_four_rules(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
+    """Unit propagation of a KS assignment by four rules, or None on a conflict.
+
+    A 1 puts its row into zeros; a basis with one 1 puts its other members
+    into zeros; a basis with one member outside zeros puts it into ones;
+    two 1s in a basis, a basis of 0s or a ray in both masks is a conflict.
+    """
+    while True:
+        before = ones, zeros
+        for v in range(len(adj)):
+            if ones >> v & 1:
+                zeros |= adj[v]
+        for basis in bases:
+            one, free = basis & ones, basis & ~zeros
+            if one & (one - 1) or not free:
+                return None
+            if one:
+                zeros |= basis ^ one
+            elif not free & (free - 1):
+                ones |= free
+        if ones & zeros:
+            return None
+        if (ones, zeros) == before:
+            return before
 
 
 def parse_dimacs_edges(text: str) -> list[int]:

@@ -17,7 +17,6 @@ from ksverify.catalog import MissingDataError, builtin
 from ksverify.colorability import (
     KSInstance,
     find_ks_assignment,
-    to_dimacs_cnf,
     verify_assignment,
 )
 from ksverify.game import (
@@ -41,8 +40,8 @@ from oracles import (
     best_strategy_pairs,
     dpll_satisfiable,
     ks_assignments_powerset,
+    ks_cnf,
     pair_is_refutable,
-    parse_dimacs_cnf,
     random_graph,
     scale_ray,
 )
@@ -70,10 +69,13 @@ def test_criterion_01_ks_verdict(new33):
     elapsed = time.monotonic() - start
     assert not result.satisfiable
     assert elapsed < 10.0
-    nvars, clauses = parse_dimacs_cnf(to_dimacs_cnf(new33))
-    assert not dpll_satisfiable(nvars, clauses)
+    # the oracle's CNF comes from Fraction inner products, not from src's graph
+    for name, satisfiable in (("new33", False), ("peres33", False),
+                              ("conway31", False), ("yuoh13", True)):
+        assert dpll_satisfiable(*ks_cnf(builtin(name).graph.vertices)) == satisfiable
     ok(f"criterion 1: new33 UNSAT by exhaustive search in {elapsed:.2f}s "
-       f"({result.nodes} nodes); exported CNF UNSAT under independent DPLL")
+       f"({result.nodes} nodes); the oracle CNFs of new33, peres33 and conway31 "
+       f"UNSAT and of yuoh13 SAT under independent DPLL")
 
 
 def test_criterion_02_basis_count(new33):

@@ -350,10 +350,24 @@ def test_table1_keys_rows_by_set_name(tmp_path, capsys):
     code, out = run(capsys, "--expect-paper", "table1", "--sets", str(path),
                     "--minimal", "none")
     assert code == EXIT_MISMATCH
-    assert out.splitlines()[-2:] == [
+    assert out.splitlines()[-3:] == [
         "EXPECT-PAPER MISMATCH: new33.bases: computed 16, expected 14",
         "EXPECT-PAPER MISMATCH: new33.aut_order: computed 48, expected 144",
+        "EXPECT-PAPER MISMATCH: new33.orbit_sizes: computed [3, 6, 12, 12], expected [3, 12, 18]",
     ]
+
+
+def test_table1_rows_are_the_pipelines_facts():
+    """A row is the set's verify, symmetry and minimal facts, merged."""
+    from ksverify.game import minimal_report
+
+    facts, _, _ = catalog.table1_report("new33,peres33,conway31", "all", float("inf"))
+    assert list(facts) == ["new33", "peres33", "conway31"]
+    for name, row in facts.items():
+        inst = builtin(name)
+        assert row == {**colorability.verify_report(inst)[0][name],
+                       **orthograph.symmetry_report(inst)[0][name],
+                       **minimal_report(inst, float("inf"))[0][name]}
 
 
 def test_table1_searches_the_set_named_new33(tmp_path, capsys):
@@ -445,15 +459,15 @@ def test_expectation_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
-def test_game_cross_check_disagreement_exits_mismatch(capsys, monkeypatch):
+def test_game_cross_check_disagreement_raises(capsys, monkeypatch):
+    """Two classical values that disagree are a bug: an AssertionError that
+    names both, with nothing printed."""
     from ksverify import game
 
     monkeypatch.setattr(game, "classical_value_twolevel", lambda game: Fraction(1))
-    code, out = run(capsys, "--expect-paper", "game", "new33")
-    assert code == EXIT_MISMATCH
-    assert out.splitlines()[-1] == (
-        "INTERNAL MISMATCH: exclusivity-graph and strategy enumeration disagree")
-    assert "EXPECT-PAPER" not in out
+    with pytest.raises(AssertionError, match="classical value 44/45 .*, 1 from"):
+        main(["--expect-paper", "game", "new33"])
+    assert capsys.readouterr().out == ""
 
 
 def test_sic_expectation_mismatch(capsys):

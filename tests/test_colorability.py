@@ -9,6 +9,7 @@ import pytest
 from ksverify.catalog import builtin
 from ksverify.colorability import (
     KSInstance,
+    close,
     find_ks_assignment,
     to_dimacs_cnf,
     verify_assignment,
@@ -17,7 +18,13 @@ from ksverify.cyclotomic import omega
 from ksverify.orthograph import edge_list
 from ksverify.rays import Ray
 
-from oracles import basis_rays, dpll_satisfiable, ks_assignments_powerset, parse_dimacs_cnf
+from oracles import (
+    basis_rays,
+    dpll_satisfiable,
+    ks_assignments_powerset,
+    ks_close_four_rules,
+    parse_dimacs_cnf,
+)
 
 W = omega()
 
@@ -71,6 +78,20 @@ def test_new33_unsat_and_yuoh_sat():
     assert find_ks_assignment(builtin("peres33")).nodes == 33
     assert find_ks_assignment(builtin("conway31")).nodes == 13
     assert found_mask(builtin("yuoh13")) == 37
+
+
+@pytest.mark.parametrize("name", ["new33", "yuoh13", "peres33", "conway31"])
+def test_close_matches_the_four_rule_propagation(name):
+    """`close` reads basis mates and two 1s in a basis from the rows; from
+    every start of one or two 1s it reaches what the four rules reach."""
+    inst = builtin(name)
+    adj = inst.graph.adj
+    bases = [sum(1 << t for t in triple) for triple in inst.basis_indices]
+    starts = itertools.chain(itertools.combinations(range(inst.graph.n), 1),
+                             itertools.combinations(range(inst.graph.n), 2))
+    for start in starts:
+        ones = sum(1 << v for v in start)
+        assert close(adj, bases, ones, 0) == ks_close_four_rules(adj, bases, ones, 0)
 
 
 def test_search_has_no_depth_limit():
