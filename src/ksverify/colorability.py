@@ -68,30 +68,33 @@ class SearchResult(namedtuple("SearchResult", "satisfiable ones nodes")):
     __slots__ = ()
 
 
-def close(adj, bases, ones: int, zeros: int) -> tuple[int, int] | None:
-    """The unit-propagation fixpoint of (ones, zeros), or None on a conflict.
+def close(adj, bases, ones: int, zeros: int, new: int) -> tuple[int, int, list] | None:
+    """The propagation fixpoint as (ones, zeros, bases without a 1), or None on a conflict.
 
     Bit v of `ones` (`zeros`) gives ray v the value 1 (0); `adj` holds the
     orthogonality rows, `bases` the basis bitmasks, each a triangle of
-    `adj`.  A 1 puts its row, basis mates included, into zeros, and a basis
-    with one member outside zeros puts that member into ones.  A basis of
-    0s or a ray in both masks (two 1s in a basis among them) is a conflict.
-    Rules only add bits, so the order they fire in does not matter.
+    `adj`.  The rows of the 1s in `new`, basis mates included, go into
+    zeros; a basis with one member outside zeros puts it into ones, or is
+    dropped if it is a 1.  A basis of 0s or a ray in both masks (two 1s in
+    a basis among them) is a conflict.
     """
-    while True:
-        before = ones, zeros
-        for v in bits(ones):
+    while new:
+        for v in bits(new):
             zeros |= adj[v]
+        if ones & zeros:
+            return None
+        new, still_open = 0, []
         for basis in bases:
             free = basis & ~zeros
             if not free:
                 return None
-            if not free & (free - 1):
-                ones |= free
-        if ones & zeros:
-            return None
-        if (ones, zeros) == before:
-            return before
+            if free & (free - 1):
+                still_open.append(basis)
+            else:
+                new |= free & ~ones
+        ones |= new
+        bases = still_open
+    return ones, zeros, bases
 
 
 def find_ks_assignment(inst: KSInstance) -> SearchResult:
@@ -100,34 +103,31 @@ def find_ks_assignment(inst: KSInstance) -> SearchResult:
     A node branches on the first basis without a 1, giving each member not
     already 0 the value 1 in turn, one child per try; `nodes` counts the
     tries, those that conflict included.  The depth-first search keeps an
-    explicit stack of (ones, zeros, members not yet tried), so the number
-    of bases is not bounded by the recursion limit.
+    explicit stack of (ones, zeros, open bases, members not yet tried), so
+    a node's work is its open bases and the depth has no recursion limit.
     """
     adj = inst.graph.adj
     bases = [sum(1 << t for t in triple) for triple in inst.basis_indices]
     ones = zeros = nodes = 0
     stack = []
-    while True:
-        open_basis = next((b for b in bases if not b & ones), None)
-        if open_basis is None:
-            # all bases carry a 1; free rays get 0 (edges stay satisfied)
-            problems = verify_assignment(inst, ones)
-            if problems:
-                raise AssertionError(f"search produced an invalid assignment: {problems}")
-            return SearchResult(True, ones, nodes)
-        stack.append((ones, zeros, bits(open_basis & ~zeros)))
+    while bases:
+        stack.append((ones, zeros, bases, bits(bases[0] & ~zeros)))
         child = None
         while child is None:  # the next try that closes without a conflict
             if not stack:
                 return SearchResult(False, None, nodes)
-            ones, zeros, untried = stack[-1]
+            ones, zeros, bases, untried = stack[-1]
             v = next(untried, None)
             if v is None:
                 stack.pop()
             else:
                 nodes += 1
-                child = close(adj, bases, ones | 1 << v, zeros)
-        ones, zeros = child
+                child = close(adj, bases, ones | 1 << v, zeros, 1 << v)
+        ones, zeros, bases = child
+    # all bases carry a 1; free rays get 0 (edges stay satisfied)
+    if problems := verify_assignment(inst, ones):
+        raise AssertionError(f"search produced an invalid assignment: {problems}")
+    return SearchResult(True, ones, nodes)
 
 
 def to_dimacs_cnf(inst: KSInstance) -> str:

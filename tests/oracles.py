@@ -21,9 +21,10 @@ edges and triangles give the oracle's pair and basis counts and KS CNF.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations, product
 from math import gcd, lcm
+from operator import or_
 
 
 def alpha_exhaustive(adj: list[int]) -> int:
@@ -433,6 +434,46 @@ def bad_sets_bruteforce(inst, x_indices) -> set[frozenset[int]] | None:
             return None
         out.add(bad)
     return out
+
+
+def minimal_split_unreduced(rays) -> tuple[int | None, list[tuple[int, ...]]]:
+    """The least |X|*|Y| of a refutable basis split with |X| <= |Y|, and every
+    X that reaches it, with no group, graph or search of the package.
+
+    The bases are the triangles of `fraction_adjacency(rays)`.  Every X
+    with |X|^2 up to the best product so far is tried: Alice's strategies
+    on it are scanned with `itertools.product` until a perfect one, which
+    leaves every basis a ray that no output is orthogonal to.  Otherwise
+    each strategy's bad set (bit j for basis j) is collected, and Y is
+    every combination of |X| or more bases, smallest first and up to the
+    best product, until one meets every bad set.
+    """
+    adj = fraction_adjacency(rays)
+    bases = oracle_triangles(adj)
+    masks = [sum(1 << v for v in basis) for basis in bases]
+    nb = len(bases)
+    best, sides = None, []
+    for a in range(1, nb + 1):
+        if best is not None and a * a > best:
+            break
+        for X in combinations(range(nb), a):
+            losts = []  # per strategy, the rays orthogonal to some output
+            for rows in product(*([adj[v] for v in bases[x]] for x in X)):
+                lost = reduce(or_, rows)
+                if all(mask & ~lost for mask in masks):
+                    break
+                losts.append(lost)
+            else:
+                bads = {sum(1 << j for j, mask in enumerate(masks) if not mask & ~lost)
+                        for lost in losts}
+                for b in range(a, nb + 1 if best is None else best // a + 1):
+                    if any(all(bad & sum(1 << j for j in Y) for bad in bads)
+                           for Y in combinations(range(nb), b)):
+                        if a * b != best:
+                            best, sides = a * b, []
+                        sides.append(X)
+                        break
+    return best, sides
 
 
 # -- per-coefficient Fraction arithmetic in Q(zeta_n) ------------------------------

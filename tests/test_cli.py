@@ -115,6 +115,11 @@ def test_verify_cnf_export(tmp_path, run_cli):
 
 @pytest.mark.parametrize("argv,expected", [
     (["--expect-paper", "verify", "new33"], EXIT_OK),
+    # built in code, so no data file is needed
+    (["--expect-paper", "verify", "peres33"], EXIT_OK),
+    (["--expect-paper", "verify", "conway31"], EXIT_OK),
+    # an infinite budget sets no deadline
+    (["--expect-paper", "minimal", "new33", "--budget", "inf"], EXIT_OK),
     (["sic", "--seed", "(1,1/0,0)"], EXIT_USAGE),
     (["verify", "schuette33"], EXIT_MISSING_DATA),
     # peres33's rays under the name new33

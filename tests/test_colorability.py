@@ -83,7 +83,8 @@ def test_new33_unsat_and_yuoh_sat():
 @pytest.mark.parametrize("name", ["new33", "yuoh13", "peres33", "conway31"])
 def test_close_matches_the_four_rule_propagation(name):
     """`close` reads basis mates and two 1s in a basis from the rows; from
-    every start of one or two 1s it reaches what the four rules reach."""
+    every start of one or two 1s it reaches what the four rules reach, and
+    keeps the bases that hold no 1 there."""
     inst = builtin(name)
     adj = inst.graph.adj
     bases = [sum(1 << t for t in triple) for triple in inst.basis_indices]
@@ -91,7 +92,10 @@ def test_close_matches_the_four_rule_propagation(name):
                              itertools.combinations(range(inst.graph.n), 2))
     for start in starts:
         ones = sum(1 << v for v in start)
-        assert close(adj, bases, ones, 0) == ks_close_four_rules(adj, bases, ones, 0)
+        expected = ks_close_four_rules(adj, bases, ones, 0)
+        if expected is not None:
+            expected += ([b for b in bases if not b & expected[0]],)
+        assert close(adj, bases, ones, 0, ones) == expected
 
 
 def test_search_has_no_depth_limit():

@@ -47,6 +47,7 @@ from oracles import (
     fraction_coordinates,
     fraction_embed,
     fraction_product,
+    minimal_split_unreduced,
     pair_is_refutable,
     parse_dimacs_edges,
     scale_ray,
@@ -457,6 +458,15 @@ def test_bad_sets_match_strategy_scan(name):
         assert {frozenset(j for j in range(nb) if m >> 3 * j & 1) for m in bads} == minimal, X
     sides = CONWAY31_UNWINNABLE if name == "conway31" else [SPLIT_ALICE[name]]
     assert [len(_bad_sets_for(X, table, nb)) for X in sides] == MINIMAL_BAD_SET_COUNTS[name]
+
+
+@pytest.mark.parametrize("name,product", [("new33", 45), ("peres33", 63)])
+def test_minimal_split_rechecked_with_no_symmetry(name, product):
+    """Every X and Y up to the product, on the oracle graph: the least
+    refutable product, reached only at the search's Alice side."""
+    inst = builtin(name)
+    assert minimal_split_unreduced(inst.graph.vertices) == (product, [SPLIT_ALICE[name]])
+    assert minimal_distribution_search(inst).product == product
 
 
 @st.composite

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from ksverify.catalog import builtin
+from ksverify.catalog import EXPECTED, builtin
 from ksverify.cyclotomic import Cyc, omega
 from ksverify.orthograph import (
     automorphisms,
@@ -15,6 +15,7 @@ from ksverify.orthograph import (
     enumerate_automorphisms,
     greedy_clique_cover,
     max_independent_set,
+    symmetry_report,
 )
 from ksverify.rays import Ray, validate_basis
 
@@ -114,10 +115,9 @@ def test_every_basis_validates():
 
 def test_independence_small_graphs():
     assert max_independent_set([0b110, 0b101, 0b011])[0] == 1  # triangle
-    c5 = [0b01010, 0b10100, 0b01001, 0b10010, 0b00101]
-    alpha, witness = max_independent_set(c5)
-    assert alpha == 2
-    assert witness == (1, 2)
+    c5 = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]  # vertex i meets i +- 1 mod 5
+    assert all((c5[i] >> j & 1) == (c5[j] >> i & 1) for i in range(5) for j in range(5))
+    assert max_independent_set(c5) == (2, (0, 2))
     assert max_independent_set([0])[0] == 1  # single vertex
     assert max_independent_set([])[0] == 0
 
@@ -258,6 +258,20 @@ def test_stabilizer_chain_matches_backtrack_on_named_graphs(name):
     elements = enumerate_automorphisms(adj)
     assert len(elements) == order
     assert elements == automorphisms_backtrack(adj)
+
+
+@pytest.mark.parametrize("name", ["new33", "peres33", "conway31"])
+def test_group_facts_rechecked_on_the_oracle_graph(name):
+    """|Aut| and the orbits from the full backtrack on the Fraction-arithmetic
+    graph, with no src graph or group: the `symmetry` facts and the paper's."""
+    inst = builtin(name)
+    elements = automorphisms_backtrack(fraction_adjacency(inst.graph.vertices))
+    sizes = sorted(map(len, orbits_of_group(elements, inst.graph.n)))
+    oracle = {"aut_order": len(elements), "orbit_sizes": sizes, "orbit_count": len(sizes)}
+    assert symmetry_report(inst)[0][name] == oracle
+    expected = {key: value for key, value in EXPECTED[name].items() if key in oracle}
+    assert "aut_order" in expected and len(expected) == 2
+    assert {key: oracle[key] for key in expected} == expected
 
 
 def test_stabilizer_chain_matches_backtrack_on_catalog_sets():
