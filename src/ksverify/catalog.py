@@ -126,12 +126,9 @@ def peres33_rays() -> list[Ray]:
 
 
 def conway31_rays() -> list[Ray]:
-    """The 31 Conway-Kochen rays, components in {0, +-1, +-2}."""
-    return [
-        _ray(0, 0, 1), _ray(0, 1, 0), _ray(1, 0, 0),
-        _ray(0, 1, -1), _ray(0, 1, 1), _ray(1, 0, -1),
-        _ray(1, 0, 1), _ray(1, -1, 0), _ray(1, 1, 0),
-        _ray(1, -1, -1), _ray(1, -1, 1), _ray(1, 1, -1), _ray(1, 1, 1),
+    """The 31 Conway-Kochen rays, components in {0, +-1, +-2}: the 13 Yu-Oh
+    rays and 18 more."""
+    return yuoh13_rays() + [
         _ray(0, 1, -2), _ray(0, 1, 2), _ray(0, 2, -1), _ray(0, 2, 1),
         _ray(1, -2, 0), _ray(1, 0, -2), _ray(1, 0, 2),
         _ray(2, 0, -1), _ray(2, 0, 1), _ray(2, 1, 0),

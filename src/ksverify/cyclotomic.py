@@ -170,14 +170,6 @@ class Cyc:
         """zeta_n^power."""
         return Cyc.from_triples(n, [(power, 1, 1)])
 
-    @staticmethod
-    def zero() -> "Cyc":
-        return Cyc(1, [0])
-
-    @staticmethod
-    def one() -> "Cyc":
-        return Cyc(1, [1])
-
     # -- coercion ------------------------------------------------------------
 
     @staticmethod

@@ -205,10 +205,10 @@ def quantum_value_maxent(g: Game):
     Returns an exact Fraction whenever the value is rational (always the
     case for conductor-3 sets), otherwise the exact cyclotomic number.
     """
-    total = Cyc.zero()
+    total = Cyc.from_rational(0)
     for c in g.contexts:
-        context_total = Cyc.zero()
-        win_total = Cyc.zero()
+        context_total = Cyc.from_rational(0)
+        win_total = Cyc.from_rational(0)
         for a in range(3):
             for b in range(3):
                 p = event_probability(g.alice_bases[c.x][a], g.bob_bases[c.y][b])

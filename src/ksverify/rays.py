@@ -30,7 +30,7 @@ def _canonical_triple(components: tuple[Cyc, Cyc, Cyc]) -> tuple[Cyc, Cyc, Cyc]:
     factor = Fraction(lcm(*(f.denominator for f in fracs)))
     integral = tuple(c * factor for c in scaled)
     conductor = lcm(*(c.minimal_form()[0] for c in integral))
-    one = Cyc.one()
+    one = Cyc.from_rational(1)
     units = [Cyc.root_of_unity(conductor, k) for k in range(conductor)]
     if conductor % 2:  # at even m, -zeta_m^k is zeta_m^(k + m/2) already
         units += [-u for u in units]
@@ -94,7 +94,7 @@ def clip(value) -> str:
 
 def inner(v: Ray, u: Ray) -> Cyc:
     """Hermitian inner product <v|u> = sum conj(v_j) u_j on stored components."""
-    total = Cyc.zero()
+    total = Cyc.from_rational(0)
     for a, b in zip(v.components, u.components):
         total = total + a.conj() * b
     return total
@@ -141,7 +141,7 @@ def _parse_component(text: str) -> Cyc:
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise ValueError(f"cannot parse component {text!r}")
-    total = Cyc.zero()
+    total = Cyc.from_rational(0)
     for term in terms:
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("sym") is None):

@@ -93,6 +93,13 @@ def ks_assignments_powerset(inst) -> list[int]:
     return out
 
 
+def ray(*components):
+    """The ray with these components."""
+    from ksverify.rays import Ray
+
+    return Ray(components)
+
+
 def scale_ray(r, s):
     """The ray `r` rebuilt from its components times the scalar `s`."""
     from ksverify.rays import Ray
@@ -257,7 +264,7 @@ def monomial_symmetries(inst, phases) -> list[tuple[tuple[int, ...], bool]]:
     out = []
     for perm, (d1, d2), conjugate in product(
             permutations(range(3)), product(phases, repeat=2), (False, True)):
-        diagonal = (Cyc.one(), d1, d2)
+        diagonal = (Cyc.from_rational(1), d1, d2)
         image = []
         for r in vertices:
             v = [c.conj() for c in r.components] if conjugate else r.components

@@ -34,14 +34,11 @@ from oracles import (
     IMAGE_SOURCES,
     basis_rays,
     non_monomial_image,
+    ray,
 )
 
 W = omega()
 W2 = W * W
-
-
-def ray(*components):
-    return Ray(components)
 
 
 def test_new33_shape():

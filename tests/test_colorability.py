@@ -16,7 +16,6 @@ from ksverify.colorability import (
 )
 from ksverify.cyclotomic import omega
 from ksverify.orthograph import edge_list
-from ksverify.rays import Ray
 
 from oracles import (
     basis_rays,
@@ -24,13 +23,10 @@ from oracles import (
     ks_assignments_powerset,
     ks_close_four_rules,
     parse_dimacs_cnf,
+    ray,
 )
 
 W = omega()
-
-
-def ray(*components):
-    return Ray(components)
 
 
 def triangle_instance():

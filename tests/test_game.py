@@ -34,7 +34,6 @@ from ksverify.game import (
     winning_events,
 )
 from ksverify.orthograph import automorphisms, max_independent_set
-from ksverify.rays import Ray
 
 from oracles import (
     bad_sets_bruteforce,
@@ -50,15 +49,12 @@ from oracles import (
     minimal_split_unreduced,
     pair_is_refutable,
     parse_dimacs_edges,
+    ray,
     scale_ray,
 )
 
 W = omega()
 W2 = W * W
-
-
-def ray(*components):
-    return Ray(components)
 
 
 def paper_game():

@@ -17,7 +17,7 @@ from ksverify.orthograph import (
     max_independent_set,
     symmetry_report,
 )
-from ksverify.rays import Ray, validate_basis
+from ksverify.rays import validate_basis
 
 from oracles import (
     IMAGE_CONDUCTORS,
@@ -35,14 +35,11 @@ from oracles import (
     orbits_of_group,
     parse_dimacs_edges,
     random_graph,
+    ray,
     triangles_direct,
 )
 
 W = omega()
-
-
-def ray(*components):
-    return Ray(components)
 
 
 def triangle_graph():
@@ -175,7 +172,7 @@ def test_new33_group_is_its_monomial_symmetries():
     """|Aut| = 144 from the rays alone: the 432 maps D P v and D P conj(v)
     with D = diag(1, +-w^j, +-w^k) induce exactly the graph's group."""
     inst = builtin("new33")
-    phases = [s * u for s in (1, -1) for u in (Cyc.one(), W, W * W)]
+    phases = [s * u for s in (1, -1) for u in (Cyc.from_rational(1), W, W * W)]
     maps = monomial_symmetries(inst, phases)
     assert sorted(p for p, _ in maps) == list(inst.graph.group.elements)
     assert len(maps) == 144

@@ -7,19 +7,14 @@ from ksverify.catalog import builtin
 from ksverify.cli import write_files
 from ksverify.cyclotomic import omega
 from ksverify.majorana import export_majorana, majorana_points
-from ksverify.rays import Ray
 
-from oracles import scale_ray
+from oracles import ray, scale_ray
 
 W = omega()
 W2 = W * W
 
 NORTH = (0.0, 0.0, 1.0)
 SOUTH = (0.0, 0.0, -1.0)
-
-
-def ray(*components):
-    return Ray(components)
 
 
 def close(p, q, tol):

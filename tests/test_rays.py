@@ -27,15 +27,12 @@ from oracles import (
     IMAGE_SOURCES,
     canonical_rule_holds,
     non_monomial_image,
+    ray,
     scale_ray,
 )
 
 W = omega()
 W2 = W * W
-
-
-def ray(*components):
-    return Ray(components)
 
 
 def test_inner_product_examples():
@@ -75,7 +72,7 @@ def test_canonicalize_is_idempotent():
 
 def test_all_zero_rejected():
     with pytest.raises(ValueError):
-        Ray((Cyc.zero(), Cyc.zero(), Cyc.zero()))
+        Ray((Cyc.from_rational(0), Cyc.from_rational(0), Cyc.from_rational(0)))
 
 
 def test_every_ray_bounds_its_canonical_coefficients():
@@ -111,7 +108,7 @@ def test_validate_basis_reports_pairs():
     assert ok == []
     bad = validate_basis([ray(1, 1, 0), ray(1, -1, 0), ray(1, 0, 0)])
     assert {(v.index_a, v.index_b) for v in bad} == {(0, 2), (1, 2)}
-    assert all(v.product == Cyc.one() for v in bad)
+    assert all(v.product == Cyc.from_rational(1) for v in bad)
 
 
 def test_validate_printed_x3_basis():
@@ -124,7 +121,7 @@ def test_validate_printed_x3_basis():
 
 
 scalars = st.sampled_from(
-    [Cyc.from_rational(2), -Cyc.one(), omega(), W2,
+    [Cyc.from_rational(2), -Cyc.from_rational(1), omega(), W2,
      Cyc.from_rational(-3), omega() * Cyc.from_rational(5)]
 )
 components = st.sampled_from(

@@ -16,14 +16,11 @@ from oracles import (
     fraction_embed,
     fraction_power_table,
     fraction_product,
+    ray,
     scale_ray,
 )
 
 W = omega()
-
-
-def ray(*components):
-    return Ray(components)
 
 
 X, Z = "X", "Z"
