@@ -7,8 +7,8 @@ point at infinity (from degree drop) at the south pole.  The three pole
 anchors (1,0,0) -> north/north, (0,1,0) -> north/south, (0,0,1) ->
 south/south pin the convention.
 
-This is the only module that uses floating point; degree decisions still
-come from exact zero tests on the components.
+This is the only module that uses floating point; degree drops and
+double roots are still decided by exact zero tests on the components.
 """
 
 from __future__ import annotations
@@ -36,21 +36,31 @@ def _to_sphere(t: complex) -> tuple[float, float, float]:
     return (2.0 * t.real / (1.0 + s), 2.0 * t.imag / (1.0 + s), (1.0 - s) / (1.0 + s))
 
 
+def double_star(r: Ray) -> bool:
+    """Whether the two points of `r` coincide, decided exactly: the
+    discriminant 2*(c1^2 - 2*c0*c2) is zero (with c0 = c1 = 0 both roots
+    are at infinity)."""
+    c0, c1, c2 = r.canonical
+    return (c1 * c1 - c0 * c2 * 2).is_zero()
+
+
 def majorana_points(
     r: Ray,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """The unordered point pair, returned in lexicographic coordinate order."""
+    """The unordered point pair, returned in lexicographic coordinate order;
+    a double star is one point, returned twice."""
     import cmath
 
     c0, c1, c2 = r.canonical
     v0, v1, v2 = c0.evaluate(), c1.evaluate(), c2.evaluate()
     scale = max(abs(v0), abs(v1), abs(v2))
     a, b, c = v0 / scale, -math.sqrt(2.0) * v1 / scale, v2 / scale
-    if c0.is_zero():
-        if c1.is_zero():
-            points = [_SOUTH, _SOUTH]  # constant polynomial: both roots at infinity
-        else:
-            points = [_to_sphere(-c / b), _SOUTH]
+    if double_star(r):
+        # the root -b/(2a), as v1/(sqrt(2)*v0): no sign flip, so a zero root is +0
+        point = _SOUTH if c0.is_zero() else _to_sphere(v1 / (math.sqrt(2.0) * v0))
+        points = [point, point]
+    elif c0.is_zero():
+        points = [_to_sphere(-c / b), _SOUTH]
     else:
         disc = cmath.sqrt(b * b - 4.0 * a * c)
         points = [_to_sphere((-b + disc) / (2.0 * a)),

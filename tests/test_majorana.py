@@ -3,10 +3,12 @@
 import csv
 import math
 
+import pytest
+
 from ksverify.catalog import builtin
 from ksverify.cli import write_files
-from ksverify.cyclotomic import omega
-from ksverify.majorana import export_majorana, majorana_points
+from ksverify.cyclotomic import omega, sqrt2
+from ksverify.majorana import double_star, export_majorana, majorana_points
 
 from oracles import ray, scale_ray
 
@@ -82,3 +84,27 @@ def test_export_csv(tmp_path):
     for r in rows[:6]:
         vec = (float(r["x"]), float(r["y"]), float(r["z"]))
         assert abs(math.sqrt(sum(c * c for c in vec)) - 1.0) < 1e-9
+
+
+def test_double_stars_are_decided_exactly():
+    """c1^2 = 2*c0*c2 in the rays' own field: the poles (1,0,0) and (0,0,1)
+    in every set, and Peres's (1,+-sqrt(2),1), whose quadratic is (t -+ 1)^2."""
+    poles = {ray(1, 0, 0), ray(0, 0, 1)}
+    s = sqrt2()
+    expected = {"new33": poles, "peres33": poles | {ray(1, s, 1), ray(1, -s, 1)},
+                "conway31": poles}
+    for name, doubles in expected.items():
+        assert {r for r in builtin(name).graph.vertices if double_star(r)} == doubles
+
+
+@pytest.mark.parametrize("name, count", [("new33", 2), ("peres33", 4), ("conway31", 2)])
+def test_a_double_star_prints_one_point_twice(tmp_path, name, count):
+    inst = builtin(name)
+    path = tmp_path / "maj.csv"
+    write_files(export_majorana(inst, str(path)))
+    rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
+    doubles = [str(i) for i, r in enumerate(inst.graph.vertices) if double_star(r)]
+    assert len(doubles) == count
+    for index in doubles:
+        first, second = ([row[k] for k in "xyz"] for row in rows if row["ray_index"] == index)
+        assert first == second and "-0" not in first
