@@ -15,7 +15,8 @@ verdicts that must not change, and per-coefficient Fraction arithmetic
 with per-call Gaussian elimination for cyclotomic numbers and for the
 inner products of an orthogonality graph, over its own Phi_n (long
 division of x^n - 1) and phi(n) (a count of the units mod n); that graph's
-edges and triangles give the oracle's pair and basis counts and KS CNF.
+edges and triangles give the oracle's pair and basis counts and KS CNF,
+and vanishing 2x2 minors count distinct rays.
 """
 
 from __future__ import annotations
@@ -658,6 +659,26 @@ def fraction_adjacency(rays) -> list[int]:
     return adj
 
 
+def fraction_proportional(m: int, u, v) -> bool:
+    """Whether coordinate triples `u` and `v` at conductor m span one ray:
+    every 2x2 minor u_i v_j - u_j v_i is 0."""
+    return all(fraction_product(m, u[i], v[j]) == fraction_product(m, u[j], v[i])
+               for i, j in combinations(range(3), 2))
+
+
+def fraction_ray_count(rays) -> int:
+    """The number of distinct projective rays among the source components of
+    `rays`, by `fraction_proportional` at the lcm conductor: no canonical form."""
+    rays = list(rays)
+    m = lcm(*(c.n for r in rays for c in r.components))
+    distinct = []
+    for r in rays:
+        v = [fraction_embed(c.n, m, fraction_coordinates(c)) for c in r.components]
+        if not any(fraction_proportional(m, u, v) for u in distinct):
+            distinct.append(v)
+    return len(distinct)
+
+
 @cache
 def _cached_minimal_form(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
     return fraction_minimal_form(n, coeffs)
@@ -679,8 +700,7 @@ def canonical_rule_holds(ray) -> bool:
     coeffs = [x for c in canon for x in _cached_minimal_form(c.n, fraction_coordinates(c))[1]]
     if any(x.denominator != 1 for x in coeffs) or gcd(*(x.numerator for x in coeffs)) != 1:
         return False
-    return all(fraction_product(m, a[i], b[j]) == fraction_product(m, a[j], b[i])
-               for i, j in combinations(range(3), 2))
+    return fraction_proportional(m, a, b)
 
 
 # -- non-monomial images of the shipped sets -------------------------------------

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from ksverify.catalog import EXPECTED, builtin
+from ksverify.catalog import EXPECTED, builtin, builtin_rays
 from ksverify.cyclotomic import Cyc, omega
 from ksverify.orthograph import (
     automorphisms,
@@ -30,6 +30,7 @@ from oracles import (
     close_under_products,
     count_orthogonal_pairs,
     fraction_adjacency,
+    fraction_ray_count,
     monomial_symmetries,
     non_monomial_image,
     orbits_of_group,
@@ -71,6 +72,16 @@ def test_new33_counts():
     assert inst.graph.n == 33
     assert len(inst.basis_indices) == 14
     assert triangles_direct(inst.graph.vertices) == 14
+
+
+@pytest.mark.parametrize("name", ["new33", "yuoh13", "peres33", "conway31"])
+def test_rays_and_bases_rechecked_in_fraction_arithmetic(name):
+    """The paper's ray count from the construction's own components (one ray
+    where every 2x2 minor is 0) and its basis count from the triangles of the
+    Fraction-arithmetic graph: no canonical form and no src graph."""
+    inst = builtin(name)
+    assert fraction_ray_count(builtin_rays(name)) == EXPECTED[name]["rays"] == inst.graph.n
+    assert triangles_direct(inst.graph.vertices) == EXPECTED[name]["bases"]
 
 
 @pytest.mark.parametrize("name,count", [("new33", 14), ("peres33", 16), ("conway31", 17)])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksverify.catalog import builtin
+from ksverify.catalog import builtin, builtin_rays
 from ksverify.cyclotomic import omega
 from ksverify.rays import Ray, inner, is_orthogonal
 from ksverify.weylheisenberg import apply, is_sic_povm, orbit_closure
@@ -16,6 +16,7 @@ from oracles import (
     fraction_embed,
     fraction_power_table,
     fraction_product,
+    fraction_proportional,
     ray,
     scale_ray,
 )
@@ -123,38 +124,49 @@ def test_exact_overlap_identity_on_sic():
                 assert lhs == rhs
 
 
+POWERS = fraction_power_table(3)  # w^0, w^1, w^2 as coordinate pairs
+IMAGES = {X: lambda a, b, c: (c, a, b),
+          Z: lambda *v: tuple(fraction_product(3, x, POWERS[k]) for k, x in enumerate(v))}
+
+
+def fraction_vectors(rays):
+    """Each ray's source components as coordinate pairs at conductor 3."""
+    return [tuple(fraction_embed(c.n, 3, fraction_coordinates(c)) for c in r.components)
+            for r in rays]
+
+
+def fraction_orbit(seeds, gens):
+    """The vectors reached from `seeds` (distinct rays, as coordinate pairs at
+    conductor 3) under X, the cyclic shift, and Z, the phases 1, w, w^2, as
+    `gens` labels them; an image proportional to a vector already reached is
+    dropped."""
+    rays, frontier = list(seeds), list(seeds)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                image = IMAGES[g](*v)
+                if not any(fraction_proportional(3, image, r) for r in rays):
+                    rays.append(image)
+                    nxt.append(image)
+        frontier = nxt
+    return rays
+
+
 def test_sic_povms_rechecked_in_fraction_arithmetic():
     """The paper's two SIC-POVMs in Fraction arithmetic at conductor 3, with
-    no Cyc operation: the {X, Z} orbits of (1,1,0) and (1,-1,0), X the cyclic
-    shift and Z the phases 1, w, w^2, each hold 9 rays (two vectors are one ray
-    when every 2x2 minor is 0) with 4 |<u|v>|^2 = |u|^2 |v|^2 for every pair,
-    share no ray, and equal orbit_closure's rays up to scalars."""
-    powers = fraction_power_table(3)  # w^0, w^1, w^2 as coordinate pairs
-
-    def same_ray(u, v):
-        return all(fraction_product(3, u[i], v[j]) == fraction_product(3, u[j], v[i])
-                   for i, j in itertools.combinations(range(3), 2))
+    no Cyc operation: the {X, Z} orbits of (1,1,0) and (1,-1,0) each hold 9
+    rays (two vectors are one ray when every 2x2 minor is 0) with
+    4 |<u|v>|^2 = |u|^2 |v|^2 for every pair, share no ray, and equal
+    orbit_closure's rays up to scalars."""
 
     def inner3(u, v):  # <u|v> = sum conj(u_j) * v_j
         terms = [fraction_product(3, fraction_conj(3, a), b) for a, b in zip(u, v)]
         return tuple(map(sum, zip(*terms)))
 
-    def orbit(seed):
-        rays, frontier = [seed], [seed]
-        while frontier:
-            nxt = []
-            for a, b, c in frontier:
-                for image in ((c, a, b), tuple(fraction_product(3, x, powers[k])
-                                               for k, x in enumerate((a, b, c)))):
-                    if not any(same_ray(image, r) for r in rays):
-                        rays.append(image)
-                        nxt.append(image)
-            frontier = nxt
-        return rays
-
     orbits = []
     for seed in ((1, 1, 0), (1, -1, 0)):
-        rays = orbit(tuple((Fraction(k), Fraction(0)) for k in seed))
+        rays = fraction_orbit([tuple((Fraction(k), Fraction(0)) for k in seed)], [X, Z])
         assert len(rays) == 9
         for u, v in itertools.combinations(rays, 2):
             amp = inner3(u, v)
@@ -165,8 +177,23 @@ def test_sic_povms_rechecked_in_fraction_arithmetic():
         assert len(closure) == 9
         for r in closure:
             assert all(3 % c.n == 0 for c in r.components)
-            vector = tuple(fraction_embed(c.n, 3, fraction_coordinates(c)) for c in r.components)
-            assert sum(same_ray(vector, u) for u in rays) == 1
+        for vector in fraction_vectors(closure):
+            assert sum(fraction_proportional(3, vector, u) for u in rays) == 1
         orbits.append(rays)
     plus, minus = orbits
-    assert not any(same_ray(u, v) for u in plus for v in minus)
+    assert not any(fraction_proportional(3, u, v) for u in plus for v in minus)
+
+
+def test_yuoh13_closures_rechecked_in_fraction_arithmetic():
+    """The paper's generation facts in Fraction arithmetic at conductor 3,
+    with no Cyc operation: X maps the 13 Yu-Oh rays onto themselves, and
+    their Z-closure is the new33 ray set, each matched ray for ray up to
+    scalars."""
+
+    def same_rays(us, vs):
+        return len(us) == len(vs) and all(
+            sum(fraction_proportional(3, u, v) for v in vs) == 1 for u in us)
+
+    yuoh = fraction_vectors(builtin_rays("yuoh13"))
+    assert same_rays(fraction_orbit(yuoh, [X]), yuoh)
+    assert same_rays(fraction_orbit(yuoh, [Z]), fraction_vectors(builtin("new33").graph.vertices))
