@@ -41,7 +41,7 @@ def double_star(r: Ray) -> bool:
     discriminant 2*(c1^2 - 2*c0*c2) is zero (with c0 = c1 = 0 both roots
     are at infinity)."""
     c0, c1, c2 = r.canonical
-    return (c1 * c1 - c0 * c2 * 2).is_zero()
+    return (c1 * c1 - 2 * c0 * c2).is_zero()
 
 
 def majorana_points(

@@ -125,8 +125,6 @@ def test_exact_overlap_identity_on_sic():
 
 
 POWERS = fraction_power_table(3)  # w^0, w^1, w^2 as coordinate pairs
-IMAGES = {X: lambda a, b, c: (c, a, b),
-          Z: lambda *v: tuple(fraction_product(3, x, POWERS[k]) for k, x in enumerate(v))}
 
 
 def fraction_vectors(rays):
@@ -143,9 +141,10 @@ def fraction_orbit(seeds, gens):
     rays, frontier = list(seeds), list(seeds)
     while frontier:
         nxt = []
-        for v in frontier:
-            for g in gens:
-                image = IMAGES[g](*v)
+        for a, b, c in frontier:
+            images = {X: (c, a, b), Z: tuple(fraction_product(3, x, POWERS[k])
+                                             for k, x in enumerate((a, b, c)))}
+            for image in (images[g] for g in gens):
                 if not any(fraction_proportional(3, image, r) for r in rays):
                     rays.append(image)
                     nxt.append(image)
